@@ -14,17 +14,20 @@ a sharded engine).  A lookup under a newer version drops the entry —
 the same idiom as the plan cache, extended with a byte cap because
 result sets, unlike plans, can be large.
 
-Tiering: with a replica attached the read path becomes
-cache -> replica -> SQL — the cache fronts both, and the version key
-composes with the replica's own freshness gate (both derive from the
-same write-bumped counters), so no tier can serve a stale row the
-other tiers would refuse.
+The read path is cache -> SQL: both in-process engines go through the
+one :func:`~repro.cache.result_cache.read_through` helper, so the key,
+the version gate, and the store-on-miss are written once.
 
 See docs/result_cache.md for the key schema, the coherence argument,
 and the batch wire protocol built on top.
 """
 
 from repro.cache.normalize import normalized_key
-from repro.cache.result_cache import ResultCache, parse_cache_setting
+from repro.cache.result_cache import (
+    ResultCache,
+    parse_cache_setting,
+    read_through,
+)
 
-__all__ = ["ResultCache", "normalized_key", "parse_cache_setting"]
+__all__ = ["ResultCache", "normalized_key", "parse_cache_setting",
+           "read_through"]

@@ -27,9 +27,8 @@ Model and rulebase names are lowercased (both registries resolve
 case-insensitively) and sorted+deduped.
 
 A bounded memo keyed on the raw ``(query, filter, aliases)`` text
-skips re-parsing for hot repeated shapes — the same trick as the
-match path's ``_PARSE_CACHE``; entries never go stale because parse
-output depends only on the key.
+skips re-parsing for hot repeated shapes; entries never go stale
+because parse output depends only on the key.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def normalized_key(query: str, models: Sequence[str],
     if limit is None:
         patterns = tuple(sorted(patterns))
     return (
-        patterns,
+        patterns,  # first by contract: match telemetry counts key[0]
         tuple(sorted({name.lower() for name in models})),
         tuple(sorted({name.lower() for name in rulebases})),
         canonical_filter,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterator
 
 from repro.errors import QueryError
 
@@ -244,3 +244,45 @@ class ResultCache:
                 "rejects": self.rejects,
                 "hit_rate": round(self.hits / total, 4) if total else None,
             }
+
+
+def read_through(cache: "ResultCache | None",
+                 current_version: Callable[[], Hashable],
+                 key_args: tuple, compute: Callable[[], Any],
+                 peek: bool = False) -> tuple[Any, bool, tuple | None]:
+    """One version-gated pass of a match query through ``cache``.
+
+    The one place an in-process engine (single-file or sharded)
+    touches its result cache: normalized key -> lookup -> ``compute()``
+    -> store.  ``key_args`` are :func:`normalized_key`'s arguments,
+    ``current_version`` reads the engine's version (an int or a
+    per-shard tuple), ``compute`` produces the rows on a miss.
+    Returns ``(value, from_cache, key)``; with no cache attached that
+    is just ``(compute(), False, None)``.
+
+    ``peek`` is the EXPLAIN form: ``compute()`` always runs, nothing is
+    stored, and the flag reports whether a fresh entry *would* have
+    served — advisory, no counters or LRU touch.
+    """
+    if cache is None:
+        return compute(), False, None
+    # Lazy: the normalizer reuses repro.inference's parsers, whose
+    # package imports the match path that imports this module.
+    from repro.cache.normalize import normalized_key
+    key = normalized_key(*key_args)
+    # The version is read BEFORE computing: a write racing the miss
+    # path can only make the stored rows *newer* than their key (the
+    # next lookup invalidates and recomputes) — never older, which
+    # would be a stale serve.
+    version = current_version()
+    if peek:
+        return compute(), cache.would_serve(key, version), key
+    cached = cache.lookup(key, version)
+    if cached is not None:
+        return list(cached), True, key
+    rows = compute()
+    # Sized on the lexical projection (what a consumer reads out of
+    # the rows); the flat estimate must stay cheap on every miss.
+    cache.store(key, version, rows,
+                nbytes=estimate_bytes([row.as_dict() for row in rows]))
+    return rows, False, key

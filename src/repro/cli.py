@@ -11,7 +11,6 @@ Usage (``python -m repro <command> ...``)::
     repro reify         DB MODEL S P O          reify a triple
     repro is-reified    DB MODEL S P O          reification check
     repro models        DB                      list models
-    repro replica       DB status|warm|drop     in-memory read replica
     repro cache         DB status|warm|drop     versioned result cache
     repro stats         DB [MODEL] [--json]     store/network figures
     repro doctor        DB                      health check (integrity)
@@ -161,25 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rules_index.add_argument("--json", action="store_true",
                              help="emit machine-readable output")
 
-    replica = commands.add_parser(
-        "replica", help="inspect, warm, or drop the in-memory "
-        "compressed read replica (see docs/replica.md); warm builds "
-        "the per-predicate partitions and reports their size — the "
-        "sizing tool for --replica-max-bytes")
-    replica.add_argument("db")
-    replica.add_argument("action", choices=("status", "warm", "drop"),
-                         help="status: replica configuration plus "
-                         "per-model versions; warm: build the "
-                         "partitions for MODEL (default: every model) "
-                         "and report bytes; drop: discard them")
-    replica.add_argument("model", nargs="?", default=None,
-                         help="model name (default: all models)")
-    replica.add_argument("--max-bytes", default=None, metavar="CAP",
-                         help="byte cap for this invocation, e.g. "
-                         "67108864, 64mb, 1g (LRU eviction past it)")
-    replica.add_argument("--json", action="store_true",
-                         help="emit machine-readable output")
-
     cache = commands.add_parser(
         "cache", help="inspect, warm, or drop the versioned "
         "query-result cache (see docs/result_cache.md); warm runs one "
@@ -261,25 +241,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        "(DB.shard0..N-1) with one writer queue and "
                        "one read pool per shard; 1 keeps the "
                        "single-file engine (see docs/sharding.md)")
-    serve.add_argument("--replica", action="store_true",
-                       help="serve eligible /match queries from an "
-                       "in-memory compressed read replica shared by "
-                       "the read pool; stale replicas fall back to "
-                       "SQL while a background refresher rebuilds "
-                       "(see docs/replica.md; incompatible with "
-                       "--shards)")
-    serve.add_argument("--replica-max-bytes", default=None,
-                       metavar="CAP",
-                       help="byte cap on resident replica partitions, "
-                       "e.g. 67108864, 64mb, 1g (LRU eviction past "
-                       "it; default uncapped)")
     serve.add_argument("--result-cache", action="store_true",
                        help="answer repeated /match bodies from a "
                        "versioned in-memory result cache shared by "
                        "the read pool, invalidated exactly on "
                        "write_version change; composes with --shards "
-                       "(per-shard version vector) and --replica "
-                       "(cache -> replica -> SQL tiering; see "
+                       "(per-shard version vector; see "
                        "docs/result_cache.md)")
     serve.add_argument("--result-cache-max-bytes", default=None,
                        metavar="CAP",
@@ -441,11 +408,6 @@ def _serve(args: argparse.Namespace, out) -> int:
         extra["slow_threshold"] = args.slow_threshold
     if args.idempotency_capacity is not None:
         extra["idempotency_capacity"] = args.idempotency_capacity
-    if args.replica_max_bytes is not None:
-        from repro.replica.manager import parse_replica_setting
-
-        _, cap = parse_replica_setting(args.replica_max_bytes)
-        extra["replica_max_bytes"] = cap
     if args.result_cache_max_bytes is not None:
         from repro.cache import parse_cache_setting
 
@@ -456,15 +418,13 @@ def _serve(args: argparse.Namespace, out) -> int:
         workers=args.workers, backlog=args.backlog,
         writer_queue=args.writer_queue, durability=durability,
         observe=bool(args.observe), access_log=bool(args.access_log),
-        shards=args.shards, replica=bool(args.replica),
+        shards=args.shards,
         result_cache=bool(args.result_cache), **extra)
     server = ReproServer(config)
     server.start()
     host, port = server.address
     engine = (f"{config.shards} shards" if config.shards > 1
               else "single file")
-    if config.replica:
-        engine += " + replica"
     if config.result_cache:
         engine += " + result cache"
     print(f"serving {args.db} on http://{host}:{port} "
@@ -696,8 +656,6 @@ def _dispatch_store(args: argparse.Namespace, store: RDFStore,
         return 0
     if command == "rules-index":
         return _rules_index(args, store, out)
-    if command == "replica":
-        return _replica(args, store, out)
     if command == "cache":
         return _cache(args, store, out)
     if command == "trace":
@@ -776,63 +734,6 @@ def _rules_index(args: argparse.Namespace, store: RDFStore, out) -> int:
             print(f"{entry['index_name']}  {verb}", file=out)
         if not results:
             print("(no rules indexes)", file=out)
-    return 0
-
-
-def _replica(args: argparse.Namespace, store: RDFStore, out) -> int:
-    """``repro replica DB status|warm|drop [MODEL]``.
-
-    The replica is process-local memory: ``warm`` here measures what a
-    server's replica *would* hold (the sizing tool for
-    ``--replica-max-bytes``); a running server's live replica is on
-    its ``GET /stats``.
-    """
-    import json
-
-    from repro.replica.manager import parse_replica_setting
-
-    max_bytes = None
-    if args.max_bytes is not None:
-        _, max_bytes = parse_replica_setting(args.max_bytes)
-    manager = store.replica
-    if manager is None:
-        manager = store.enable_replica(max_bytes=max_bytes)
-    elif max_bytes is not None:
-        manager.max_bytes = max_bytes
-    names = ([args.model] if args.model
-             else [info.model_name for info in store.models])
-    if args.action == "drop":
-        dropped = (manager.drop(args.model) if args.model
-                   else manager.drop())
-        payload = {"dropped": dropped}
-        print(json.dumps(payload) if args.json
-              else f"dropped {dropped} model replica(s)", file=out)
-        return 0
-    if args.action == "warm":
-        for name in names:
-            manager.warm(store, name)
-    status = manager.status(store)
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True), file=out)
-        return 0
-    cap = ("uncapped" if manager.max_bytes is None
-           else f"{manager.max_bytes} bytes cap")
-    print(f"replica: {status['partitions']} partitions, "
-          f"{status['bytes']} bytes resident ({cap}, "
-          f"refresh={status['refresh']})", file=out)
-    for name in sorted(status["models"]):
-        entry = status["models"][name]
-        freshness = "STALE" if entry.get("stale") else "fresh"
-        print(f"  {name}: {entry['triples']} triples, "
-              f"{entry['predicates']} predicates, "
-              f"{entry['bytes']} bytes, "
-              f"version {entry['model_version']} ({freshness})",
-              file=out)
-    if not status["models"]:
-        warmable = ", ".join(sorted(names)) or "(no models)"
-        print(f"  no replicas built this process; "
-              f"`repro replica {args.db} warm` would build: "
-              f"{warmable}", file=out)
     return 0
 
 

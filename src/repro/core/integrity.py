@@ -98,16 +98,20 @@ def _check_node_registration(store: "RDFStore") -> list[Violation]:
     return violations
 
 
+#: One set-difference pass — three index/table scans, nothing
+#: correlated.  (``NOT EXISTS ... start_node_id = n OR end_node_id =
+#: n`` rescans ``rdf_link$`` per node: no index leads on end_node_id.)
+ORPHAN_NODES_SQL = (
+    f'SELECT node_id FROM "{NODE_TABLE}" '
+    f'EXCEPT SELECT start_node_id FROM "{LINK_TABLE}" '
+    f'EXCEPT SELECT end_node_id FROM "{LINK_TABLE}"')
+
+
 def _check_orphan_nodes(store: "RDFStore") -> list[Violation]:
     """rdf_node$ rows that no link touches."""
-    rows = store.database.query_all(
-        f'SELECT node_id FROM "{NODE_TABLE}" n '
-        f'WHERE NOT EXISTS (SELECT 1 FROM "{LINK_TABLE}" l '
-        "WHERE l.start_node_id = n.node_id "
-        "OR l.end_node_id = n.node_id)")
     return [Violation("orphan-node",
                       f"NODE_ID={row['node_id']} has no links")
-            for row in rows]
+            for row in store.database.query_all(ORPHAN_NODES_SQL)]
 
 
 def _check_reif_flags(store: "RDFStore") -> list[Violation]:

@@ -171,11 +171,7 @@ class ShardedRDFStore(StorageEngine):
             database = Database(self.router.shard_path(index),
                                 durability=self._durability)
             ensure_shard_meta(database, index, self.router.shard_count)
-            # replica=False: per-shard stores must not each grow an
-            # in-memory replica off the REPRO_REPLICA environment —
-            # the sharded engine is scatter-only.
-            store = RDFStore(database, observe=self._observe,
-                             replica=False)
+            store = RDFStore(database, observe=self._observe)
             store.links.set_link_id_range(
                 *self.router.link_id_range(index))
             if self._writer_init is not None:
@@ -216,8 +212,7 @@ class ShardedRDFStore(StorageEngine):
                         size=self._pool_size,
                         durability=self._durability,
                         timeout=self._pool_timeout,
-                        wrap=lambda db: RDFStore(db, observe=False,
-                                                 replica=False),
+                        wrap=lambda db: RDFStore(db, observe=False),
                         invalidate=_invalidate_session)
                     self._pools[index] = pool
         return pool
@@ -559,40 +554,21 @@ class ShardedRDFStore(StorageEngine):
                       explain: bool = False, optimize: bool = True):
         """Scatter-gather SDO_RDF_MATCH — ``sdo_rdf_match`` delegates
         here for any store that defines this method."""
+        from repro.cache import read_through
         from repro.inference.scatter import scatter_match
-        cache = self._result_cache
-        cache_key = None
-        cache_version = None
-        if cache is not None and optimize and not explain:
-            from repro.cache import normalized_key
-            from repro.cache.result_cache import estimate_bytes
-            cache_key = normalized_key(query, models, rulebases,
-                                       aliases, filter, order_by, limit)
-            # Version vector read before the scatter, per the usual
-            # rule: a racing write can only make the stored rows newer
-            # than their key, never older.
-            cache_version = tuple(self.data_version_vector())
-            cached = cache.lookup(cache_key, cache_version)
-            if cached is not None:
-                return list(cached)
-        result = scatter_match(self, query, models, rulebases=rulebases,
-                               aliases=aliases, filter=filter,
-                               order_by=order_by, limit=limit,
-                               explain=explain, optimize=optimize)
-        if explain:
-            if cache is not None and optimize:
-                from repro.cache import normalized_key
-                if cache.would_serve(
-                        normalized_key(query, models, rulebases,
-                                       aliases, filter, order_by,
-                                       limit),
-                        tuple(self.data_version_vector())):
-                    result.engine = "cache"
-            return result
-        if cache_key is not None:
-            cache.store(cache_key, cache_version, result,
-                        nbytes=estimate_bytes(
-                            [row.as_dict() for row in result]))
+        # Keyed on the whole per-shard version vector: a committed
+        # write on any shard invalidates.
+        result, cached, _ = read_through(
+            self._result_cache if optimize else None,
+            lambda: tuple(self.data_version_vector()),
+            (query, models, rulebases, aliases, filter, order_by, limit),
+            lambda: scatter_match(
+                self, query, models, rulebases=rulebases,
+                aliases=aliases, filter=filter, order_by=order_by,
+                limit=limit, explain=explain, optimize=optimize),
+            peek=explain)
+        if explain and cached:
+            result.engine = "cache"
         return result
 
     # ------------------------------------------------------------------

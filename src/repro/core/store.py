@@ -34,7 +34,6 @@ from repro.db.dburi import DBUri
 from repro.errors import (
     ModelNotFoundError,
     ReificationError,
-    ReplicaError,
     SchemaError,
     TripleNotFoundError,
 )
@@ -72,17 +71,6 @@ class RDFStore(StorageEngine):
         :class:`~repro.core.sharded.ShardedRDFStore` instead —
         ``rdf_link$`` partitioned across N files with one writer queue
         each (requires a file path; see :mod:`repro.core.sharded`).
-    :param replica: keyword-only switch for the in-memory compressed
-        read replica (see :mod:`repro.replica` and
-        ``docs/replica.md``).  ``None`` (the default) defers to the
-        ``REPRO_REPLICA`` environment variable; ``False`` disables it
-        unconditionally; ``True`` (or an on-word / byte-cap string
-        accepted by
-        :func:`~repro.replica.manager.parse_replica_setting`, or an
-        int byte cap) enables it; an existing
-        :class:`~repro.replica.manager.ReplicaManager` is attached
-        as-is (how pooled server readers share one).  Incompatible
-        with ``shards > 1``.
     """
 
     engine_kind = "single"
@@ -90,13 +78,8 @@ class RDFStore(StorageEngine):
     def __new__(cls, database: Database | str | Path | None = None,
                 observe: bool | None = None,
                 durability: str | None = None, *,
-                shards: int = 1, replica=None) -> "RDFStore":
+                shards: int = 1) -> "RDFStore":
         if cls is RDFStore and shards > 1:
-            if replica:
-                raise ReplicaError(
-                    "the in-memory replica requires the single-file "
-                    "engine (shards=1); the sharded store routes "
-                    "queries through scatter-gather instead")
             from repro.core.sharded import ShardedRDFStore
             # Not an RDFStore subclass, so Python skips __init__ on
             # the returned instance: it comes back fully constructed.
@@ -107,7 +90,7 @@ class RDFStore(StorageEngine):
     def __init__(self, database: Database | str | Path | None = None,
                  observe: bool | None = None,
                  durability: str | None = None, *,
-                 shards: int = 1, replica=None) -> None:
+                 shards: int = 1) -> None:
         if database is None:
             database = Database(durability=durability)
         elif isinstance(database, (str, Path)):
@@ -148,21 +131,6 @@ class RDFStore(StorageEngine):
             enabled, max_bytes = parse_cache_setting(cache_setting)
             if enabled:
                 self._result_cache = ResultCache(max_bytes=max_bytes)
-        self._replica = None
-        setting = replica
-        if setting is None:
-            setting = os.environ.get("REPRO_REPLICA")
-        if setting is not None and setting is not False:
-            from repro.replica.manager import (
-                ReplicaManager,
-                parse_replica_setting,
-            )
-            if isinstance(setting, ReplicaManager):
-                self._replica = setting
-            else:
-                enabled, max_bytes = parse_replica_setting(setting)
-                if enabled:
-                    self._replica = ReplicaManager(max_bytes=max_bytes)
         if not database.read_only:
             self.parser.set_delta_hook(self._on_base_delta)
 
@@ -243,35 +211,6 @@ class RDFStore(StorageEngine):
         targets = self.rules_maintenance_targets(model.model_name)
         if targets:
             self.run_rules_maintenance(targets, added, removed, model)
-        if self._replica is not None:
-            # Advisory only: the durable model version (bumped in this
-            # same transaction) is what actually gates freshness.
-            self._replica.note_delta(model.model_name)
-
-    # ------------------------------------------------------------------
-    # the in-memory read replica (see repro.replica, docs/replica.md)
-    # ------------------------------------------------------------------
-
-    @property
-    def replica(self):
-        """The attached :class:`~repro.replica.manager.ReplicaManager`,
-        or None when the replica is disabled.  The match path routes
-        through this via duck typing."""
-        return self._replica
-
-    def enable_replica(self, max_bytes: int | None = None,
-                       refresh: str = "inline"):
-        """Attach a fresh replica manager; returns it."""
-        from repro.replica.manager import ReplicaManager
-        self._replica = ReplicaManager(max_bytes=max_bytes,
-                                       refresh=refresh)
-        return self._replica
-
-    def attach_replica(self, manager) -> None:
-        """Attach an existing (possibly shared) manager, or None to
-        detach.  The server attaches one manager to every pooled
-        reader so they serve from the same partitions."""
-        self._replica = manager
 
     # ------------------------------------------------------------------
     # the query-result cache (see repro.cache, docs/result_cache.md)
@@ -281,7 +220,7 @@ class RDFStore(StorageEngine):
     def result_cache(self):
         """The attached :class:`~repro.cache.ResultCache`, or None when
         result caching is disabled.  The match path routes through
-        this via duck typing (cache -> replica -> SQL)."""
+        this via duck typing."""
         return self._result_cache
 
     def enable_result_cache(self, max_bytes: int | None = None):
@@ -351,8 +290,6 @@ class RDFStore(StorageEngine):
         removed = self.parser.remove_model_triples(info)
         self.models.drop(model_name)
         self.values.invalidate_cache()
-        if self._replica is not None:
-            self._replica.drop(model_name)
         return removed
 
     def model_exists(self, model_name: str) -> bool:

@@ -70,17 +70,6 @@ class DeadlineExceededError(StorageError):
     """
 
 
-class ReplicaError(StorageError):
-    """The in-memory read replica was misconfigured.
-
-    Raised for an unparseable ``REPRO_REPLICA`` setting, a
-    non-positive byte cap, an unknown refresh mode, or enabling the
-    replica on an engine that cannot host it (the sharded store).
-    Never raised on the query path: an unusable replica there simply
-    falls back to SQL.
-    """
-
-
 class WriterShutdownError(StorageError):
     """The writer queue shut down before this job could run.
 

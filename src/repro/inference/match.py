@@ -5,49 +5,42 @@ The paper's table function (section 6.1)::
     SDO_RDF_MATCH(query, models, rulebases, aliases, filter)
         RETURN ANYDATASET
 
-``query`` is a list of triple patterns; ``models`` the graphs to search;
-``rulebases`` the inference rules whose pre-computed rules index extends
-the data; ``aliases`` the namespace abbreviations; ``filter`` a
-predicate over the variables.  The result is a table whose columns are
-the query variables.
-
-Evaluation follows the Chong et al. scheme the paper cites: each triple
-pattern becomes a self-join over the triples dataset, executed as one
-SQL statement against ``rdf_link$`` (UNION the ``rdf_inferred$`` rows of
-a covering rules index when rulebases are given).  Joins happen on
+returns a table whose columns are the query variables.  Evaluation
+follows the Chong et al. scheme the paper cites: each triple pattern
+becomes a self-join over the triples dataset, executed as one SQL
+statement against ``rdf_link$`` (UNION the ``rdf_inferred$`` rows of a
+covering rules index when rulebases are given).  Joins happen on
 VALUE_IDs; lexical forms are resolved only for the final projection.
 
-Compilation is staged (see :mod:`repro.inference.plan`):
+One read path, six stages in a line:
 
-1. parse patterns and filter;
-2. build the logical :class:`~repro.inference.plan.QueryPlan` —
-   constants resolved to VALUE_IDs, joins reordered most-selective
-   first using :mod:`repro.inference.stats`, filter/ORDER BY/LIMIT
-   pushed into the generated SQL where provably equivalent;
-3. cache the plan in ``store.plan_cache`` keyed on the raw query
-   shape, so a repeated query skips stages 1-2 entirely (any data
-   change bumps ``data_version`` and invalidates cached plans);
-4. execute, resolving result VALUE_IDs to terms in batches.
+1. **validate** the arguments (models, limit);
+2. **result-cache probe** — opt-in (:mod:`repro.cache`): a fresh entry
+   for the normalized query shape answers without stages 3-6;
+3. **plan** — ``store.plan_cache`` keyed on the raw query shape, so a
+   repeated query skips parsing; a miss parses, validates and compiles
+   (:mod:`repro.inference.plan`: joins reordered most-selective first,
+   filter/ORDER BY/LIMIT pushed into SQL where provably equivalent);
+4. **SQL** — the plan's one statement;
+5. **resolve** the result VALUE_IDs to terms in one batch;
+6. **post-process** — whatever of filter/ORDER BY/LIMIT was not pushed.
 
-``explain=True`` returns the :class:`MatchExplanation` for the query
-instead of executing it; ``optimize=False`` reproduces the legacy
-textual-order compile (no statistics, no pushdown, no caching) as a
-reference baseline.
+Telemetry is emitted once, after the last stage, whatever the outcome.
+``explain=True`` stops after stage 3 and returns a
+:class:`MatchExplanation`; ``optimize=False`` is the legacy
+textual-order compile (no statistics, pushdown or caches), kept as the
+property tests' reference path.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.cache.result_cache import read_through
 from repro.errors import QueryError
 from repro.inference.filters import FilterExpression, parse_filter
 from repro.inference.patterns import TriplePattern, parse_pattern_list
-from repro.inference.plan import (
-    QueryPlan,
-    build_plan,
-    classify_replica_shape,
-    plan_key,
-)
+from repro.inference.plan import QueryPlan, build_plan, plan_key
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS as _COUNT_BUCKETS
 from repro.obs.reqctx import current_trace
 from repro.rdf.namespaces import AliasSet
@@ -55,16 +48,6 @@ from repro.rdf.terms import RDFTerm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.store import RDFStore
-
-#: Parsed-query cache for the replica fast path.  The SQL pipeline's
-#: plan cache already skips parsing on a hit; the replica path must
-#: not re-pay it on every query.  Keyed on raw text (like plan_key)
-#: and holding only immutable parse artefacts — the pattern tuple,
-#: the filter AST, the bound-variable set — so entries are shared
-#: safely across stores and threads.  Bounded FIFO: parse results
-#: never go stale, so eviction order is a non-issue.
-_PARSE_CACHE: dict[tuple, tuple] = {}
-_PARSE_CACHE_CAP = 256
 
 
 class MatchRow:
@@ -123,8 +106,7 @@ class MatchExplanation:
     the chosen join order with selectivity estimates, what was pushed
     into SQL, the generated statement, whether the plan came from the
     cache, and which engine would serve the query (``sql``, the
-    result ``cache``, the in-memory ``replica``, or the sharded
-    ``scatter`` merge).
+    result ``cache``, or the sharded ``scatter`` merge).
     """
 
     def __init__(self, query: str, models: tuple[str, ...],
@@ -135,7 +117,7 @@ class MatchExplanation:
         self.rulebases = rulebases
         self.cache = cache  #: "hit", "miss", or "bypass" (optimize off)
         self.plan = plan
-        self.engine = engine  #: "sql", "cache", "replica", or "scatter"
+        self.engine = engine  #: "sql", "cache", or "scatter"
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -218,333 +200,201 @@ def sdo_rdf_match(store: "RDFStore", query: str,
                   limit: int | None = None,
                   explain: bool = False,
                   optimize: bool = True):
-    """Evaluate an SDO_RDF_MATCH query.
+    """Evaluate an SDO_RDF_MATCH query; returns ``list[MatchRow]``.
 
-    :param store: the RDF store.
     :param query: the triple-pattern list, e.g.
         ``'(gov:files gov:terrorSuspect ?name)'``.
     :param models: model names to search (``SDO_RDF_MODELS``).
-    :param rulebases: rulebase names (``SDO_RDF_RULEBASES``); requires a
+    :param rulebases: rulebase names (``SDO_RDF_RULEBASES``); needs a
         covering rules index to have been created, as in Oracle.
     :param aliases: namespace aliases (``SDO_RDF_ALIASES``).
     :param filter: optional filter predicate over the variables.
-    :param order_by: optional variable name (with or without the
-        leading ``?``) to sort the rows by, lexically — the Python
-        convenience for the ORDER BY the paper wraps around the table
-        function in SQL.
-    :param limit: optional maximum number of rows, applied after
-        filtering and ordering (pushed into the SQL whenever no
-        Python-side residual filter remains).
-    :param explain: return the :class:`MatchExplanation` instead of
-        executing the query.
-    :param optimize: False reproduces the legacy naive compile —
-        textual join order, no pushdown, no plan cache.
-    :returns: ``list[MatchRow]``, or :class:`MatchExplanation` when
-        ``explain=True``.
+    :param order_by: optional variable (leading ``?`` optional) to sort
+        by, lexically — the ORDER BY the paper wraps around in SQL.
+    :param limit: optional row cap, applied after filter and order.
+    :param explain: return the :class:`MatchExplanation`, run nothing.
+    :param optimize: False is the legacy naive compile — textual join
+        order, no pushdown, no plan or result cache.
     """
-    # An engine that defines scatter_match (the sharded backend)
-    # evaluates queries itself: single-subject-anchored patterns route
-    # to one shard, everything else fans out per-pattern subplans and
-    # merges in Python (see repro.inference.scatter).  Duck-typed so
-    # this module never imports the sharded engine.
+    # The sharded backend evaluates queries itself (see inference/
+    # scatter.py); duck-typed so this module never imports that engine.
     scatter = getattr(store, "scatter_match", None)
     if scatter is not None:
         return scatter(query, models, rulebases=rulebases,
                        aliases=aliases, filter=filter,
                        order_by=order_by, limit=limit, explain=explain,
                        optimize=optimize)
-    if not models:
-        raise QueryError("SDO_RDF_MATCH requires at least one model")
-    if limit is not None and limit < 0:
-        raise QueryError(f"limit must be >= 0, got {limit}")
+    check_arguments(models, limit)
+    aliases = aliases or AliasSet()
+    if order_by is not None:
+        order_by = order_by.lstrip("?")
+    shape = (query, models, rulebases, aliases, filter, order_by, limit)
     observer = store.observer
+    plan = plan_cache = None  # stay None when the result cache answers
+
+    def compute():
+        nonlocal plan, plan_cache
+        plan, plan_cache = _plan(store, *shape, optimize)
+        return None if explain else _execute(store, plan, order_by, limit)
+
     with observer.span("match.execute", models=",".join(models),
                        query=query) as span:
-        aliases = aliases or AliasSet()
-        if order_by is not None:
-            order_by = order_by.lstrip("?")
-
-        # ---- result-cache routing (see repro.cache) ----
-        # An attached result cache serves a repeated query from memory
-        # without parsing, planning, or SQL.  Keys are the *normalized*
-        # query shape; the entry is valid only at the data_version it
-        # was computed under, so any committed write invalidates on the
-        # next lookup.  Duck-typed like the replica below.
-        result_cache = getattr(store, "result_cache", None)
-        cache_key = None
-        cache_version = None
-        if result_cache is not None and optimize and not explain:
-            # Lazy import: repro.cache's normalizer reuses this
-            # package's parsers, so a module-level import here would
-            # be circular through repro.inference.__init__.
-            from repro.cache.normalize import normalized_key
-            cache_key = normalized_key(query, models, rulebases,
-                                       aliases, filter, order_by, limit)
-            # The version is read BEFORE executing: a write racing the
-            # miss path can only make the stored rows *newer* than
-            # their key (the next lookup invalidates and recomputes) —
-            # never older, which would be a stale serve.
-            cache_version = store.database.data_version
-            cached = result_cache.lookup(cache_key, cache_version)
-            if cached is not None:
-                span.set("engine", "cache")
-                span.set("rows", len(cached))
-                request = current_trace()
-                if request is not None:
-                    request.annotate("query", query)
-                    request.annotate("engine", "cache")
-                if observer.enabled:
-                    observer.counter("match.queries").inc()
-                    observer.counter("match.result_cache_hits").inc()
-                    observer.metrics.histogram(
-                        "match.rows", "result rows per query",
-                        buckets=_COUNT_BUCKETS).observe(len(cached))
-                return list(cached)
-            if observer.enabled:
-                observer.counter("match.result_cache_misses").inc()
-
-        # ---- replica routing (see repro.replica) ----
-        # An attached in-memory replica serves eligible queries —
-        # single model, no rulebases, a supported pattern shape —
-        # straight from its version-gated partition arrays.  Anything
-        # it declines (absent, stale, evicted, unsupported shape)
-        # falls through to the SQL pipeline below.  Duck-typed so this
-        # module never imports the replica subsystem.
-        replica_manager = getattr(store, "replica", None)
-        replica_eligible = (replica_manager is not None and optimize
-                            and not rulebases and len(models) == 1)
-        parsed_patterns: list[TriplePattern] | None = None
-        parsed_filter: FilterExpression | None = None
-        validated = False
-        if replica_eligible and not explain:
-            # The exact parse + validation the SQL compile would do,
-            # so the replica path raises identical QueryErrors —
-            # cached on the raw text, since parse output depends only
-            # on (query, aliases, filter).
-            parse_key = (query, filter, tuple(sorted(
-                (alias.namespace_id, alias.namespace_val)
-                for alias in aliases)))
-            parsed = _PARSE_CACHE.get(parse_key)
-            if parsed is None:
-                parsed_patterns = parse_pattern_list(query, aliases)
-                parsed_filter = parse_filter(filter) if filter else None
-                _check_filter_variables(parsed_filter, parsed_patterns,
-                                        filter)
-                bound = frozenset().union(
-                    *(p.variables() for p in parsed_patterns))
-                if len(_PARSE_CACHE) >= _PARSE_CACHE_CAP:
-                    _PARSE_CACHE.pop(next(iter(_PARSE_CACHE)))
-                _PARSE_CACHE[parse_key] = (tuple(parsed_patterns),
-                                           parsed_filter, bound)
-            else:
-                parsed_patterns = list(parsed[0])
-                parsed_filter, bound = parsed[1], parsed[2]
-            if order_by is not None and order_by not in bound:
-                raise QueryError(
-                    f"order_by variable {order_by!r} is not bound "
-                    "by the query")
-            validated = True
-            rows = replica_manager.try_match(
-                store, parsed_patterns, models,
-                filter_expression=parsed_filter, order_by=order_by,
-                limit=limit, token=parse_key)
-            if rows is not None:
-                span.set("engine", "replica")
-                span.set("rows", len(rows))
-                request = current_trace()
-                if request is not None:
-                    request.annotate("query", query)
-                    request.annotate("engine", "replica")
-                if observer.enabled:
-                    observer.counter("match.queries").inc()
-                    observer.counter("match.replica_hits").inc()
-                    observer.metrics.histogram(
-                        "match.patterns",
-                        "triple patterns per query",
-                        buckets=range(1, 17)).observe(
-                            len(parsed_patterns))
-                    observer.metrics.histogram(
-                        "match.rows", "result rows per query",
-                        buckets=_COUNT_BUCKETS).observe(len(rows))
-                if cache_key is not None:
-                    _store_result(result_cache, cache_key,
-                                  cache_version, rows)
-                return rows
-            if observer.enabled:
-                observer.counter("match.replica_fallbacks").inc()
-
-        # ---- plan: cache lookup, else full compile ----
-        plan: QueryPlan | None = None
-        cache_status = "bypass"
-        key: tuple | None = None
-        if optimize:
-            key = plan_key(query, models, rulebases, aliases, filter,
-                           order_by, limit)
-            plan = store.plan_cache.lookup(
-                key, store.database.data_version)
-            cache_status = "miss" if plan is None else "hit"
-        if plan is None:
-            if parsed_patterns is not None:
-                patterns = parsed_patterns
-                filter_expression = parsed_filter
-            else:
-                patterns = parse_pattern_list(query, aliases)
-                filter_expression = parse_filter(filter) if filter \
-                    else None
-            if not validated:
-                _check_filter_variables(filter_expression, patterns,
-                                        filter)
-                if order_by is not None:
-                    bound = set().union(
-                        *(p.variables() for p in patterns))
-                    if order_by not in bound:
-                        raise QueryError(
-                            f"order_by variable {order_by!r} is not "
-                            "bound by the query")
-            with observer.span("match.compile", patterns=len(patterns),
-                               cache=cache_status):
-                plan = build_plan(store, patterns, models, rulebases,
-                                  filter_expression=filter_expression,
-                                  order_by=order_by, limit=limit,
-                                  optimize=optimize)
-            if optimize and key is not None:
-                store.plan_cache.store(key, plan)
-            if observer.enabled and plan.reordered:
-                observer.counter("match.join_reorders").inc()
-
-        span.set("plan_cache", cache_status)
-        if not explain:
-            # Joined to the serving layer's slow-request log: the
-            # request that ran this query learns its plan-cache fate
-            # and query text even when the observer is disabled.
-            request = current_trace()
-            if request is not None:
-                request.annotate("query", query)
-                request.annotate("plan_cache", cache_status)
-                request.annotate("engine", "sql")
+        result, cached, key = read_through(
+            store.result_cache if optimize else None,
+            lambda: store.database.data_version, shape, compute,
+            peek=explain)
+        # ---- telemetry: once, whatever the outcome ----
+        engine = "cache" if cached else "sql"
+        rows = 0 if explain else len(result)
+        span.set("engine", engine)
+        span.set("rows", rows)
+        if plan is not None:
+            span.set("plan_cache", plan_cache)
+            if plan.sql is None:
+                span.set("short_circuit", "unknown-constant")
+        if explain:
+            span.set("explain", True)
+            result = MatchExplanation(
+                query=query, models=tuple(models),
+                rulebases=tuple(rulebases), cache=plan_cache,
+                plan=plan, engine=engine)
+        else:
+            # Not under explain: the EXPLAIN the server captures for a
+            # slow request must not overwrite the real query's notes.
+            annotate_request(query, engine, plan_cache)
         if observer.enabled:
             observer.counter("match.queries").inc()
-            if optimize:
+            if key is not None and not explain:
                 observer.counter(
-                    "match.plan_cache_hits" if cache_status == "hit"
+                    "match.result_cache_hits" if cached
+                    else "match.result_cache_misses").inc()
+            if plan_cache in ("hit", "miss"):
+                observer.counter(
+                    "match.plan_cache_hits" if plan_cache == "hit"
                     else "match.plan_cache_misses").inc()
             observer.metrics.histogram(
                 "match.patterns", "triple patterns per query",
-                buckets=range(1, 17)).observe(plan.pattern_count)
-
-        if explain:
-            span.set("explain", True)
-            span.set("plan_cache", cache_status)
-            engine = "sql"
-            if result_cache is not None and optimize:
-                from repro.cache.normalize import normalized_key
-                if result_cache.would_serve(
-                        normalized_key(query, models, rulebases,
-                                       aliases, filter, order_by,
-                                       limit),
-                        store.database.data_version):
-                    engine = "cache"
-            if engine == "sql" and replica_eligible:
-                # Advisory: shape-eligible and the replica is fresh
-                # (or would build inline).  An eviction between this
-                # check and a later execution can still fall back.
-                explain_patterns = parsed_patterns \
-                    if parsed_patterns is not None \
-                    else parse_pattern_list(query, aliases)
-                if classify_replica_shape(explain_patterns) is not None \
-                        and replica_manager.would_serve(store,
-                                                        models[0]):
-                    engine = "replica"
-            return MatchExplanation(
-                query=query, models=tuple(models),
-                rulebases=tuple(rulebases), cache=cache_status,
-                plan=plan, engine=engine)
-
-        if plan.sql is None:
-            # A constant with no VALUE_ID: nothing can match.
-            span.set("rows", 0)
-            span.set("short_circuit", "unknown-constant")
-            if cache_key is not None:
-                _store_result(result_cache, cache_key, cache_version,
-                              [])
-            return []
-
-        # ---- execute + batched term resolution ----
-        projection = plan.projection
-        with observer.span("match.sql") as sql_span:
-            fetched = store.database.query_all(plan.sql, plan.params)
-            sql_span.set("fetched", len(fetched))
-        rows: list[MatchRow] = []
-        if plan.optimized:
-            with observer.span("match.resolve") as resolve_span:
-                wanted = {raw[index] for raw in fetched
-                          for index in projection.values()}
-                terms = store.values.get_terms(wanted)
-                resolve_span.set("values", len(wanted))
-            for raw in fetched:
-                rows.append(MatchRow(
-                    {name: terms[raw[index]]
-                     for name, index in projection.items()}))
-        else:
-            for raw in fetched:
-                rows.append(MatchRow(
-                    {name: store.values.get_term(raw[index])
-                     for name, index in projection.items()}))
-
-        # ---- residual filter / order / limit ----
-        residual = plan.residual_filter
-        if residual is not None:
-            rows = [row for row in rows
-                    if residual.evaluate(dict(row._terms))]
-        if order_by is not None and not plan.order_by_pushed:
-            rows.sort(key=lambda match_row: match_row[order_by])
-        if limit is not None and not plan.limit_pushed:
-            rows = rows[:limit]
-        span.set("rows", len(rows))
-        if observer.enabled:
+                buckets=range(1, 17)).observe(
+                    len(key[0]) if plan is None else plan.pattern_count)
             observer.metrics.histogram(
                 "match.rows", "result rows per query",
-                buckets=_COUNT_BUCKETS).observe(len(rows))
-        if cache_key is not None:
-            _store_result(result_cache, cache_key, cache_version, rows)
-        return rows
+                buckets=_COUNT_BUCKETS).observe(rows)
+    return result
 
 
 def ask(store: "RDFStore", query: str, models: Sequence[str],
         rulebases: Sequence[str] = (),
         aliases: AliasSet | None = None) -> bool:
     """Existence form: does the (possibly ground) pattern match at all?
-
-    Compiled with ``limit=1`` so the SQL stops at the first matching
-    row instead of materializing the full result set.
-    """
+    ``limit=1`` makes the SQL stop at the first matching row."""
     return bool(sdo_rdf_match(store, query, models, rulebases=rulebases,
                               aliases=aliases, limit=1))
 
 
-def _store_result(result_cache, cache_key: tuple, cache_version,
-                  rows: "list[MatchRow]") -> None:
-    """Install a computed result set in the attached result cache.
-
-    Sized on the lexical projection (what a consumer actually reads
-    out of the rows); the MatchRow/RDFTerm object overhead on top is
-    real but bounded, and the flat estimate must stay cheap enough to
-    run on every miss.
-    """
-    from repro.cache.result_cache import estimate_bytes
-    result_cache.store(
-        cache_key, cache_version, rows,
-        nbytes=estimate_bytes([row.as_dict() for row in rows]))
+def check_arguments(models: Sequence[str], limit: int | None) -> None:
+    """Stage 1: what can be validated without parsing anything."""
+    if not models:
+        raise QueryError("SDO_RDF_MATCH requires at least one model")
+    if limit is not None and limit < 0:
+        raise QueryError(f"limit must be >= 0, got {limit}")
 
 
-def _check_filter_variables(filter_expression: FilterExpression | None,
-                            patterns: list[TriplePattern],
-                            filter_text: str | None) -> None:
-    if filter_expression is None:
-        return
-    bound = set().union(*(p.variables() for p in patterns))
-    unknown = filter_expression.variables() - bound
-    if unknown:
-        raise QueryError(
-            f"filter {filter_text!r} references unbound variables "
-            f"{sorted(unknown)}")
+def parse_and_validate(query: str, aliases: AliasSet,
+                       filter: str | None, order_by: str | None
+                       ) -> tuple[list[TriplePattern],
+                                  FilterExpression | None]:
+    """The one parse of the match path (scatter shares it): patterns
+    and filter, with every variable they and ``order_by`` use bound."""
+    patterns = parse_pattern_list(query, aliases)
+    filter_expression = parse_filter(filter) if filter else None
+    if filter_expression is not None or order_by is not None:
+        bound = set().union(*(p.variables() for p in patterns))
+        if filter_expression is not None:
+            unknown = filter_expression.variables() - bound
+            if unknown:
+                raise QueryError(
+                    f"filter {filter!r} references unbound variables "
+                    f"{sorted(unknown)}")
+        if order_by is not None and order_by not in bound:
+            raise QueryError(f"order_by variable {order_by!r} is not "
+                             "bound by the query")
+    return patterns, filter_expression
+
+
+def annotate_request(query: str, engine: str,
+                     plan_cache: str | None = None) -> None:
+    """Tell this thread's request trace, if any, what ran."""
+    request = current_trace()
+    if request is not None:
+        request.annotate("query", query)
+        request.annotate("engine", engine)
+        if plan_cache is not None:
+            request.annotate("plan_cache", plan_cache)
+
+
+def _plan(store: "RDFStore", query: str, models: Sequence[str],
+          rulebases: Sequence[str], aliases: AliasSet,
+          filter: str | None, order_by: str | None, limit: int | None,
+          optimize: bool) -> tuple[QueryPlan, str]:
+    """Stage 3: the cached plan for this query shape, else a compiled
+    one, and which: "hit", "miss", or "bypass" (``optimize=False``)."""
+    key = None
+    status = "bypass"
+    if optimize:
+        key = plan_key(query, models, rulebases, aliases, filter,
+                       order_by, limit)
+        plan = store.plan_cache.lookup(key, store.database.data_version)
+        if plan is not None:
+            return plan, "hit"
+        status = "miss"
+    patterns, filter_expression = parse_and_validate(
+        query, aliases, filter, order_by)
+    observer = store.observer
+    with observer.span("match.compile", patterns=len(patterns),
+                       cache=status):
+        plan = build_plan(store, patterns, models, rulebases,
+                          filter_expression=filter_expression,
+                          order_by=order_by, limit=limit,
+                          optimize=optimize)
+    if key is not None:
+        store.plan_cache.store(key, plan)
+    if observer.enabled and plan.reordered:
+        observer.counter("match.join_reorders").inc()
+    return plan, status
+
+
+def _execute(store: "RDFStore", plan: QueryPlan, order_by: str | None,
+             limit: int | None) -> list[MatchRow]:
+    """Stages 4-6: run the plan's SQL, resolve VALUE_IDs to terms,
+    apply whatever of filter / ORDER BY / LIMIT was not pushed down."""
+    if plan.sql is None:
+        return []  # a constant with no VALUE_ID: nothing can match
+    observer = store.observer
+    projection = plan.projection
+    with observer.span("match.sql") as sql_span:
+        fetched = store.database.query_all(plan.sql, plan.params)
+        sql_span.set("fetched", len(fetched))
+    if plan.optimized:
+        with observer.span("match.resolve") as resolve_span:
+            wanted = {raw[index] for raw in fetched
+                      for index in projection.values()}
+            terms = store.values.get_terms(wanted)
+            resolve_span.set("values", len(wanted))
+        rows = [MatchRow({name: terms[raw[index]]
+                          for name, index in projection.items()})
+                for raw in fetched]
+    else:
+        # The reference path: term by term, not the batch it checks.
+        get_term = store.values.get_term
+        rows = [MatchRow({name: get_term(raw[index])
+                          for name, index in projection.items()})
+                for raw in fetched]
+    residual = plan.residual_filter
+    if residual is not None:
+        rows = [row for row in rows
+                if residual.evaluate(dict(row._terms))]
+    if order_by is not None and not plan.order_by_pushed:
+        rows.sort(key=lambda match_row: match_row[order_by])
+    if limit is not None and not plan.limit_pushed:
+        rows = rows[:limit]
+    return rows

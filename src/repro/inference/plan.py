@@ -219,37 +219,6 @@ class PlanCache:
 
 
 # ----------------------------------------------------------------------
-# replica shape classification
-# ----------------------------------------------------------------------
-
-def classify_replica_shape(patterns: Sequence[TriplePattern]
-                           ) -> str | None:
-    """The in-memory-replica-eligible shape of a query, or None.
-
-    The replica (:mod:`repro.replica`) holds per-predicate SO/OS
-    arrays, so it serves exactly two shapes:
-
-    * ``"single"`` — one triple pattern, any anchoring (a variable
-      predicate walks every partition);
-    * ``"star"`` — several patterns sharing one subject (the same
-      variable or the same constant), every predicate constant, so
-      each pattern is an anchored lookup once the subject is bound.
-
-    Anything else — chains, cross products, variable predicates in a
-    join — compiles to SQL as before.
-    """
-    if len(patterns) == 1:
-        return "single"
-    anchor = patterns[0].subject
-    for pattern in patterns:
-        if isinstance(pattern.predicate, Variable):
-            return None
-        if pattern.subject != anchor:
-            return None
-    return "star"
-
-
-# ----------------------------------------------------------------------
 # filter pushdown
 # ----------------------------------------------------------------------
 

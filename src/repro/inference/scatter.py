@@ -47,14 +47,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import QueryError
-from repro.inference.filters import parse_filter
 from repro.inference.match import (
     MatchRow,
-    _check_filter_variables,
+    annotate_request,
+    check_arguments,
+    parse_and_validate,
     sdo_rdf_match,
 )
-from repro.inference.patterns import TriplePattern, Variable, \
-    parse_pattern_list
+from repro.inference.patterns import TriplePattern, Variable
 from repro.inference.plan import build_plan
 from repro.rdf.namespaces import AliasSet
 from repro.rdf.terms import RDFTerm
@@ -77,10 +77,7 @@ def scatter_match(engine: "ShardedRDFStore", query: str,
                   explain: bool = False,
                   optimize: bool = True):
     """Evaluate SDO_RDF_MATCH on a sharded store (see module doc)."""
-    if not models:
-        raise QueryError("SDO_RDF_MATCH requires at least one model")
-    if limit is not None and limit < 0:
-        raise QueryError(f"limit must be >= 0, got {limit}")
+    check_arguments(models, limit)
     if rulebases:
         raise QueryError(
             "rulebases are not supported on a sharded store: an "
@@ -90,15 +87,8 @@ def scatter_match(engine: "ShardedRDFStore", query: str,
     aliases = aliases or AliasSet()
     if order_by is not None:
         order_by = order_by.lstrip("?")
-    patterns = parse_pattern_list(query, aliases)
-    filter_expression = parse_filter(filter) if filter else None
-    _check_filter_variables(filter_expression, patterns, filter)
-    if order_by is not None:
-        bound = set().union(*(p.variables() for p in patterns))
-        if order_by not in bound:
-            raise QueryError(
-                f"order_by variable {order_by!r} is not bound by the "
-                "query")
+    patterns, filter_expression = parse_and_validate(
+        query, aliases, filter, order_by)
 
     # ---- route each pattern to its target shards ----
     model_names = list(models)
@@ -138,6 +128,9 @@ def scatter_match(engine: "ShardedRDFStore", query: str,
             "single-file store")
 
     # ---- scatter: one single-pattern subplan per (pattern, shard) ----
+    # Annotated here, on the caller's thread: the request trace does
+    # not follow the fan-out onto the executor's workers.
+    annotate_request(query, "scatter")
     dedup_pattern = len(model_names) > 1
 
     def run(task: tuple[int, int]):

@@ -112,7 +112,6 @@ from repro.errors import (
     ParseError,
     PoolTimeoutError,
     QueryError,
-    ReplicaError,
     ReproError,
     StorageError,
     TermError,
@@ -146,7 +145,6 @@ from repro.obs.slowlog import (
 )
 from repro.rdf.namespaces import Alias, AliasSet
 from repro.rdf.triple import Triple
-from repro.replica.manager import ReplicaManager
 from repro.server.health import (
     DEGRADED,
     UNHEALTHY,
@@ -246,22 +244,12 @@ class ServerConfig:
         queue and one read pool *per shard*, scatter-gather /match
         (see ``docs/sharding.md``).  1 (the default) keeps the
         single-file engine.
-    :param replica: maintain one shared in-memory compressed read
-        replica (``docs/replica.md``) across the read pool.  Eligible
-        ``/match`` queries are answered from dict-encoded per-predicate
-        arrays; a stale replica falls back to SQL on the same snapshot
-        while a background refresher — woken by the pool's
-        ``data_version`` snoop — rebuilds it.  Incompatible with
-        ``shards > 1`` (VALUE_IDs are shard-local).
-    :param replica_max_bytes: byte cap on the replica's resident
-        partitions (LRU eviction); ``None`` means uncapped.
     :param result_cache: keep one shared
         :class:`~repro.cache.ResultCache` of complete ``/match``
         responses, keyed on the normalized query shape and the durable
         serve-state write_version (the per-shard version *vector* in
         sharded mode) — a repeated hot read skips parsing, planning,
-        and SQL entirely.  Composes with ``replica`` (the tiered read
-        path is cache -> replica -> SQL) and with ``shards``.  See
+        and SQL entirely.  Composes with ``shards``.  See
         ``docs/result_cache.md``.
     :param result_cache_max_bytes: byte cap on cached result sets
         (LRU eviction); ``None`` means the cache's default (64 MiB).
@@ -296,8 +284,6 @@ class ServerConfig:
     degraded_queue_fraction: float = 0.8
     degraded_pool_fraction: float = 1.0
     shards: int = 1
-    replica: bool = False
-    replica_max_bytes: int | None = None
     result_cache: bool = False
     result_cache_max_bytes: int | None = None
     batch_limit: int = 100
@@ -326,13 +312,6 @@ class ServerConfig:
             raise StorageError("shed_priority_below must be in 0..10")
         if self.shards < 1:
             raise StorageError("server needs shards >= 1")
-        if self.replica and self.shards > 1:
-            raise ReplicaError(
-                "the in-memory replica cannot serve a sharded store: "
-                "VALUE_IDs are shard-local (see docs/replica.md); "
-                "pick --replica or --shards, not both")
-        if self.replica_max_bytes is not None and self.replica_max_bytes <= 0:
-            raise ReplicaError("replica_max_bytes must be positive")
         if (self.result_cache_max_bytes is not None
                 and self.result_cache_max_bytes <= 0):
             raise StorageError("result_cache_max_bytes must be positive")
@@ -372,7 +351,6 @@ class ReproServer:
         self.pool: ConnectionPool | None = None
         self.writer: WriterQueue | None = None
         self.engine: ShardedRDFStore | None = None
-        self.replica: ReplicaManager | None = None
         # One app-level cache shared by every handler thread, keyed on
         # the durable write_version (never the pooled readers' local
         # data_version counters, which are not comparable across
@@ -423,8 +401,7 @@ class ReproServer:
             self.config.path, durability=self.config.durability,
             observer=self.observer if self.observer.enabled else None,
             faults=self.config.faults)
-        store = RDFStore(database, observe=self.config.observe,
-                         replica=False)
+        store = RDFStore(database, observe=self.config.observe)
         ensure_serve_state(database)
         return store
 
@@ -453,39 +430,15 @@ class ReproServer:
                 self._writer_factory, maxsize=self.config.writer_queue,
                 observer=self.observer,
                 faults=self.config.faults).start()
-            if self.config.replica:
-                # One manager shared by every pooled reader.  Fallback
-                # mode: a stale lease answers from SQL (same snapshot)
-                # and queues the model for the background refresher —
-                # a serving thread never pays for a rebuild.
-                self.replica = ReplicaManager(
-                    max_bytes=self.config.replica_max_bytes,
-                    refresh="fallback")
-
-            def wrap(db: Database) -> RDFStore:
-                store = RDFStore(db, observe=False, replica=False)
-                if self.replica is not None:
-                    store.attach_replica(self.replica)
-                return store
-
-            def invalidate(store: RDFStore) -> None:
-                store.values.invalidate_cache()
-                if self.replica is not None:
-                    # The acquire-time data_version snoop saw a commit:
-                    # wake the refresher to re-check replica freshness.
-                    self.replica.note_commit()
-
             self.pool = ConnectionPool(
                 self.config.path, size=self.config.workers,
                 durability=self.config.durability,
                 timeout=self.config.pool_timeout,
                 observer=self.observer,
-                wrap=wrap,
-                invalidate=invalidate,
+                wrap=lambda db: RDFStore(db, observe=False),
+                invalidate=lambda store:
+                    store.values.invalidate_cache(),
                 faults=self.config.faults)
-            if self.replica is not None:
-                pool = self.pool
-                self.replica.start_refresher(lambda: pool.lease())
         self._http = _HTTPServer(
             (self.config.host, self.config.port), _Handler)
         self._http.app = self
@@ -521,9 +474,6 @@ class ReproServer:
         self._serve_thread.join(timeout=30.0)
         self._http = None
         self._serve_thread = None
-        if self.replica is not None:
-            self.replica.stop_refresher()
-            self.replica = None
         if self.writer is not None:
             self.writer.stop(drain=drain)
             self.writer = None
@@ -1127,7 +1077,6 @@ class ReproServer:
                 "engine": ("sharded" if self.engine is not None
                            else "single"),
                 "shards": self.config.shards,
-                "replica": self.replica is not None,
                 "result_cache": self.result_cache is not None,
             },
             "pool": self.pool.stats() if self.pool else {},
@@ -1142,14 +1091,6 @@ class ReproServer:
             body["shards"] = self._shard_overview()
         if self.pool is not None:
             body["versions"] = self._read_versions()
-            if self.replica is not None:
-                # Same lease family as the versions read: the per-model
-                # "stale" flags compare against a live store.
-                try:
-                    with self.pool.lease(timeout=1.0) as store:
-                        body["replica"] = self.replica.status(store)
-                except PoolTimeoutError:
-                    body["replica"] = self.replica.status()
         return 200, body
 
     def _read_versions(self) -> dict:
@@ -1483,26 +1424,6 @@ class ReproServer:
             self.metrics.gauge(
                 "pool.in_use",
                 "read connections out on lease").set(pool.in_use)
-        replica = self.replica
-        if replica is not None:
-            status = replica.status()
-            self.metrics.gauge(
-                "replica.bytes",
-                "resident replica partition bytes").set(status["bytes"])
-            self.metrics.gauge(
-                "replica.partitions",
-                "resident per-predicate replica partitions").set(
-                    status["partitions"])
-            self.metrics.gauge(
-                "replica.models",
-                "models with a built replica").set(
-                    len(status["models"]))
-            for name in ("hits", "misses", "fallbacks", "builds",
-                         "refreshes", "evictions", "refresh_errors"):
-                self.metrics.gauge(
-                    f"replica.{name}",
-                    f"replica {name} since start").set(
-                        status["counters"][name])
 
     # ------------------------------------------------------------------
     # request lifecycle (called from the handler threads)

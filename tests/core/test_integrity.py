@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.integrity import check_integrity
+from repro.core.integrity import ORPHAN_NODES_SQL, check_integrity
 
 
 @pytest.fixture
@@ -94,6 +94,18 @@ class TestCorruptionDetected:
             "VALUES (?, 'UR')", (orphan_id,))
         violations = check_integrity(store)
         assert any(v.check == "orphan-node" for v in violations)
+
+    def test_orphan_check_never_rescans_links_per_node(self, healthy):
+        """The old NOT EXISTS form was a correlated scan of rdf_link$
+        per node — quadratic.  The set difference scans each side
+        once."""
+        store, _base = healthy
+        plan = [row["detail"] for row in store.database.query_all(
+            "EXPLAIN QUERY PLAN " + ORPHAN_NODES_SQL)]
+        assert not any("CORRELATED" in step for step in plan), plan
+        assert sum("rdf_link$" in step for step in plan) == 2, plan
+        assert all(step.startswith("SCAN") for step in plan
+                   if "rdf_link$" in step), plan
 
     def test_wrong_reif_flag(self, unguarded):
         store, base = unguarded

@@ -1,0 +1,119 @@
+"""The one read path of ``sdo_rdf_match``: the pieces written once.
+
+Validation, the version-gated result-cache pass and the telemetry block
+each exist once and serve both engines (single-file SQL and sharded
+scatter-gather), so one parametrised suite pins that the engines agree
+— same rows, same error text, same EXPLAIN verdict — and that every
+outcome of a query is counted exactly once.
+"""
+
+import pytest
+
+from repro.core.store import RDFStore
+from repro.errors import QueryError
+from repro.inference.match import sdo_rdf_match
+
+MODEL = "m"
+TRIPLES = [(f"<urn:s{i}>", "<urn:p>", f'"v{i % 3}"') for i in range(6)] \
+    + [(f"<urn:s{i}>", "<urn:q>", f"<urn:s{i + 1}>") for i in range(5)]
+#: Scans, an anchored lookup (single-shard fast path when sharded), a
+#: join, and filter / ORDER BY / LIMIT post-processing.
+QUERIES = [
+    ("(?s <urn:p> ?o)", {}),
+    ("(<urn:s2> ?p ?o)", {}),
+    ("(?a <urn:q> ?b) (?b <urn:p> ?v)", {}),
+    ("(?s <urn:p> ?o)", {"filter": '?o != "v0"'}),
+    ("(?s <urn:p> ?o)", {"order_by": "?s", "limit": 4}),
+    ("(?s <urn:unknown> ?o)", {}),
+]
+#: (label, query, models, kwargs) — one per validation failure.
+BAD_CALLS = [
+    ("no models", "(?s ?p ?o)", [], {}),
+    ("negative limit", "(?s ?p ?o)", [MODEL], {"limit": -1}),
+    ("filter on an unbound variable", "(?s <urn:p> ?o)", [MODEL],
+     {"filter": '?ghost = "x"'}),
+    ("order_by on an unbound variable", "(?s <urn:p> ?o)", [MODEL],
+     {"order_by": "ghost"}),
+]
+
+
+def _open(tmp_path, name: str, shards: int, cache: bool):
+    store = RDFStore(str(tmp_path / f"{name}.db"), durability="durable",
+                     shards=shards)
+    store.create_model(MODEL)
+    for triple in TRIPLES:
+        store.insert_triple(MODEL, *triple)
+    if cache:
+        store.enable_result_cache()
+    return store
+
+
+def _rows(store, query, **kwargs):
+    return sorted(tuple(sorted(row.as_dict().items()))
+                  for row in sdo_rdf_match(store, query, [MODEL],
+                                           **kwargs))
+
+
+def _error(store, query, models, kwargs) -> str:
+    with pytest.raises(QueryError) as info:
+        sdo_rdf_match(store, query, models, **kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("cache", [False, True],
+                         ids=["cache-off", "cache-on"])
+@pytest.mark.parametrize("shards", [1, 2],
+                         ids=["single-file", "2-shard"])
+def test_engines_agree(tmp_path, shards, cache):
+    with _open(tmp_path, "ref", 1, False) as reference, \
+            _open(tmp_path, "eng", shards, cache) as engine:
+        for query, kwargs in QUERIES:
+            expected = _rows(reference, query, **kwargs)
+            assert _rows(engine, query, **kwargs) == expected
+            # Again: the second answer is the cached one when caching.
+            assert _rows(engine, query, **kwargs) == expected
+        for label, query, models, kwargs in BAD_CALLS:
+            assert _error(engine, query, models, kwargs) == \
+                _error(reference, query, models, kwargs), label
+        # Subject-anchored, so EXPLAIN works on the sharded engine too.
+        anchored = QUERIES[1][0]
+        verdict = sdo_rdf_match(engine, anchored, [MODEL],
+                                explain=True).engine
+        if cache:
+            assert verdict == "cache"
+            assert engine.result_cache.stats()["hits"] >= len(QUERIES)
+        else:
+            assert verdict == ("sql" if shards == 1 else "scatter")
+
+
+@pytest.mark.parametrize("cache", [False, True],
+                         ids=["cache-off", "cache-on"])
+def test_every_outcome_is_counted_once(cache):
+    """match.queries == count(match.rows) == count(match.patterns)
+    after each of: SQL, result-cache hit, unknown-constant
+    short-circuit, explain."""
+    with RDFStore(observe=True) as store:
+        store.create_model(MODEL)
+        store.insert_triple(MODEL, *TRIPLES[0])
+        if cache:
+            store.enable_result_cache()
+
+        def counts():
+            metrics = store.observer.metrics.as_dict()
+            return (metrics["counters"].get("match.queries", 0),
+                    metrics["histograms"]["match.rows"]["count"],
+                    metrics["histograms"]["match.patterns"]["count"])
+
+        calls = [
+            ("sql", "(?s <urn:p> ?o)", {}),
+            ("repeat (cache hit when caching)", "(?s <urn:p> ?o)", {}),
+            ("unknown constant", "(?s <urn:never-stored> ?o)", {}),
+            ("explain", "(?s <urn:p> ?o)", {"explain": True}),
+            ("naive", "(?s <urn:p> ?o)", {"optimize": False}),
+        ]
+        for done, (label, query, kwargs) in enumerate(calls, start=1):
+            sdo_rdf_match(store, query, [MODEL], **kwargs)
+            assert counts() == (done, done, done), label
+        if cache:
+            counters = store.observer.metrics.as_dict()["counters"]
+            assert counters["match.result_cache_hits"] == 1

@@ -67,6 +67,19 @@ class TestShardedRoutes:
         assert body["count"] == 1
         assert body["rows"][0]["o"] == "http://o2"
 
+    def test_scattered_match_says_what_ran_on_its_trace(self, client):
+        _seed(client)
+        query = "(?s <http://p> ?o)"
+        client.match(query, ["m"], request_id="scattered")
+        notes = client.debug_trace("scattered")["annotations"]
+        assert notes["query"] == query
+        assert notes["engine"] == "scatter"
+        # A subject-anchored query stays on one shard's SQL engine.
+        client.match("(<http://s2> <http://p> ?o)", ["m"],
+                     request_id="anchored")
+        notes = client.debug_trace("anchored")["annotations"]
+        assert notes["engine"] == "sql"
+
     def test_rulebases_rejected_with_400(self, client):
         _seed(client)
         with pytest.raises(ServerError) as info:
