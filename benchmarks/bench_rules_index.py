@@ -17,15 +17,14 @@ Standalone: ``python benchmarks/bench_rules_index.py`` writes
 """
 
 try:
-    from benchmarks.bench_match_queries import _percentile
+    from repro.bench.harness import Timer
 except ImportError:  # script mode: python benchmarks/bench_rules_index.py
     import pathlib
     import sys
 
-    _ROOT = pathlib.Path(__file__).resolve().parent.parent
-    sys.path.insert(0, str(_ROOT / "src"))
-    sys.path.insert(0, str(_ROOT))
-    from benchmarks.bench_match_queries import _percentile
+    sys.path.insert(
+        0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    from repro.bench.harness import Timer
 
 from repro.core.store import RDFStore
 from repro.inference.sdo_rdf_inference import SDO_RDF_INFERENCE
@@ -112,8 +111,10 @@ def run_rules_index_benchmark(size, trials, rebuild_trials):
     finally:
         store.close()
 
-    incremental_mean = sum(incremental) / len(incremental)
-    rebuild_mean = sum(rebuild) / len(rebuild)
+    # The harness's linear-interpolation quantiles, over ms samples.
+    incremental_ms = Timer("incremental_write_ms", incremental)
+    rebuild_ms = Timer("rebuild_write_ms", rebuild)
+    incremental_mean, rebuild_mean = incremental_ms.mean, rebuild_ms.mean
     return {
         "dataset": {"size": size, "model": MODEL,
                     "rule": "(?a p ?b)(?b p ?c) -> (?a q ?c)",
@@ -124,13 +125,13 @@ def run_rules_index_benchmark(size, trials, rebuild_trials):
                   "inferred_after_writes": inferred_after},
         "incremental_write_ms": {
             "mean": round(incremental_mean, 4),
-            "p50": round(_percentile(incremental, 0.5), 4),
-            "p95": round(_percentile(incremental, 0.95), 4),
+            "p50": round(incremental_ms.p50, 4),
+            "p95": round(incremental_ms.p95, 4),
         },
         "rebuild_write_ms": {
             "mean": round(rebuild_mean, 4),
-            "p50": round(_percentile(rebuild, 0.5), 4),
-            "p95": round(_percentile(rebuild, 0.95), 4),
+            "p50": round(rebuild_ms.p50, 4),
+            "p95": round(rebuild_ms.p95, 4),
         },
         "speedup_mean": round(rebuild_mean / incremental_mean, 2)
         if incremental_mean else None,

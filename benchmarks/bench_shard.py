@@ -25,7 +25,7 @@ the two sides of that trade:
 
 Standalone: ``python benchmarks/bench_shard.py [--smoke]`` writes
 ``BENCH_shard.json`` to the repo root.  CI gates the smoke run's
-``write_speedup_4_over_1`` >= 1.5x through ``bench_compare.py``.
+``write_speedup_4_over_1`` >= 1.5x.
 """
 
 import argparse

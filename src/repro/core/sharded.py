@@ -62,11 +62,12 @@ _RDF_TYPE = RDF.type
 _RDF_STATEMENT = RDF.Statement
 
 
-def _invalidate_session(store: RDFStore) -> None:
-    """Pool acquire-snoop hook: another connection committed to this
-    shard, so the session's term *and* model caches are stale (model
-    DDL is broadcast — a dropped model must disappear from pooled
-    readers too)."""
+def invalidate_session(store: RDFStore) -> None:
+    """The pool acquire-snoop hook of every pooled read session — a
+    shard's or the single-file server's: another connection committed
+    to this file, so the session's term *and* model caches are stale
+    (a model dropped by the writer, or by another process, must
+    disappear from pooled readers too)."""
     store.values.invalidate_cache()
     store.models.invalidate_cache()
 
@@ -213,7 +214,7 @@ class ShardedRDFStore(StorageEngine):
                         durability=self._durability,
                         timeout=self._pool_timeout,
                         wrap=lambda db: RDFStore(db, observe=False),
-                        invalidate=_invalidate_session)
+                        invalidate=invalidate_session)
                     self._pools[index] = pool
         return pool
 
@@ -223,15 +224,13 @@ class ShardedRDFStore(StorageEngine):
         with self.pool(index).lease() as session:
             yield session
 
-    def submit(self, index: int, job: Callable[[RDFStore], Any],
-               timeout: float | None = None) -> Future:
-        """Enqueue a mutation on shard ``index``'s writer.
-
-        The default ``timeout=None`` blocks until queue space frees
-        (embedded callers want backpressure, not failures); the server
-        passes 0 to turn a full queue into an immediate 429.
-        """
-        return self._writers[index].submit(job, timeout=timeout)
+    def submit(self, index: int,
+               job: Callable[[RDFStore], Any]) -> Future:
+        """Enqueue a mutation on shard ``index``'s writer, blocking
+        until queue space frees: embedded callers want backpressure,
+        not failures (the server submits to the writer queue itself,
+        where a full queue is an immediate 429)."""
+        return self._writers[index].submit(job, timeout=None)
 
     def call(self, index: int, job: Callable[[RDFStore], Any]) -> Any:
         """Submit to one shard and wait for the result."""
@@ -247,20 +246,6 @@ class ShardedRDFStore(StorageEngine):
         """
         return [self.call(index, job)
                 for index in self.router.all_shards()]
-
-    def shard_stats(self) -> list[dict[str, Any]]:
-        """Per-shard depth/version gauges for ``/stats`` and doctor."""
-        stats = []
-        for index in self.router.all_shards():
-            pool = self._pools[index]
-            entry: dict[str, Any] = {
-                "shard": index,
-                "path": self.router.shard_path(index),
-                "writer": self._writers[index].stats(),
-                "pool": pool.stats() if pool is not None else None,
-            }
-            stats.append(entry)
-        return stats
 
     def pool_in_use(self) -> int:
         """Read leases out across every shard's pool (live gauge).

@@ -80,9 +80,11 @@ class DeadlineGuard:
     """Book-keeping for one active :meth:`Database.deadline_scope`.
 
     ``interrupted`` flips to True the moment the progress-handler
-    watchdog aborts a statement, so callers can distinguish "SQL was
-    cut off mid-flight" (count it under ``sql.interrupts``) from "the
-    deadline expired between statements".
+    watchdog aborts a statement; the resulting
+    :class:`~repro.errors.DeadlineExceededError` carries
+    ``sql_interrupted``, so callers can distinguish "SQL was cut off
+    mid-flight" (count it under ``sql.interrupts``) from "the deadline
+    expired between statements".
     """
 
     __slots__ = ("deadline", "interrupted")
@@ -312,10 +314,12 @@ class Database:
         guard = self._deadline_guard
         if "interrupt" in message and guard is not None \
                 and guard.interrupted:
-            return DeadlineExceededError(
+            error = DeadlineExceededError(
                 f"SQL aborted after the request deadline expired "
                 f"(budget {guard.deadline.budget * 1000:.0f} ms) "
                 f"{context}")
+            error.sql_interrupted = True
+            return error
         return StorageError(f"{exc} {context}")
 
     # ------------------------------------------------------------------
@@ -594,10 +598,10 @@ class Database:
         ``sqlite3.Connection.interrupt()``: the engine stops at a safe
         point, the open transaction rolls back normally, and the
         connection remains usable.  The aborted statement surfaces as
-        :class:`~repro.errors.DeadlineExceededError`; the yielded
-        :class:`DeadlineGuard`'s ``interrupted`` flag says whether SQL
-        was actually cut off (callers count ``sql.interrupts`` from
-        it).
+        :class:`~repro.errors.DeadlineExceededError` with
+        ``sql_interrupted`` set (callers count ``sql.interrupts`` from
+        it); the yielded :class:`DeadlineGuard`'s ``interrupted`` flag
+        says the same to code still inside the scope.
 
         ``deadline=None`` yields ``None`` and installs nothing, so
         call sites need no branching for deadline-free requests.

@@ -69,6 +69,11 @@ class DeadlineExceededError(StorageError):
     slow-request log.
     """
 
+    #: True when a deadline watchdog cut a statement off mid-flight
+    #: (set where the sqlite error is mapped); the serving layer counts
+    #: ``sql.interrupts`` from it, whichever connection raised.
+    sql_interrupted = False
+
 
 class WriterShutdownError(StorageError):
     """The writer queue shut down before this job could run.

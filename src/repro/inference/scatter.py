@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import QueryError
+from repro.errors import DeadlineExceededError, QueryError
 from repro.inference.match import (
     MatchRow,
     annotate_request,
@@ -56,6 +56,7 @@ from repro.inference.match import (
 )
 from repro.inference.patterns import TriplePattern, Variable
 from repro.inference.plan import build_plan
+from repro.obs.reqctx import current_trace
 from repro.rdf.namespaces import AliasSet
 from repro.rdf.terms import RDFTerm
 
@@ -89,6 +90,11 @@ def scatter_match(engine: "ShardedRDFStore", query: str,
         order_by = order_by.lstrip("?")
     patterns, filter_expression = parse_and_validate(
         query, aliases, filter, order_by)
+    # Captured here, on the caller's thread: the request trace (and so
+    # its deadline) does not follow the fan-out onto the executor's
+    # workers.  Every shard session runs its SQL under the budget.
+    request = current_trace()
+    deadline = request.deadline if request is not None else None
 
     # ---- route each pattern to its target shards ----
     model_names = list(models)
@@ -108,7 +114,8 @@ def scatter_match(engine: "ShardedRDFStore", query: str,
         # delegate to the ordinary single-file evaluator with full
         # filter/ORDER BY/LIMIT pushdown (and working explain).
         (shard,) = union
-        with engine.shard_session(shard) as session:
+        with engine.shard_session(shard) as session, \
+                session.database.deadline_scope(deadline):
             result = sdo_rdf_match(
                 session, query, model_names, rulebases=(),
                 aliases=aliases, filter=filter, order_by=order_by,
@@ -128,14 +135,13 @@ def scatter_match(engine: "ShardedRDFStore", query: str,
             "single-file store")
 
     # ---- scatter: one single-pattern subplan per (pattern, shard) ----
-    # Annotated here, on the caller's thread: the request trace does
-    # not follow the fan-out onto the executor's workers.
     annotate_request(query, "scatter")
     dedup_pattern = len(model_names) > 1
 
     def run(task: tuple[int, int]):
         index, shard = task
-        with engine.shard_session(shard) as session:
+        with engine.shard_session(shard) as session, \
+                session.database.deadline_scope(deadline):
             return _pattern_bindings(session, patterns[index],
                                      model_names, optimize)
 
@@ -143,6 +149,7 @@ def scatter_match(engine: "ShardedRDFStore", query: str,
              for index, shard_list in enumerate(targets)
              for shard in shard_list]
     outcomes = list(engine.executor.map(run, tasks))
+    _check_deadline(deadline, "gather")
 
     per_pattern: list[list[Binding] | bool] = []
     for index, pattern in enumerate(patterns):
@@ -185,7 +192,7 @@ def scatter_match(engine: "ShardedRDFStore", query: str,
     bound_vars = set(bound_vars)
     for next_vars, next_bindings in joinable[1:]:
         bindings = _hash_join(bindings, bound_vars, next_bindings,
-                              set(next_vars))
+                              set(next_vars), deadline)
         bound_vars |= next_vars
         if not bindings:
             return []
@@ -199,6 +206,15 @@ def scatter_match(engine: "ShardedRDFStore", query: str,
     if limit is not None:
         rows = rows[:limit]
     return rows
+
+
+def _check_deadline(deadline, stage: str) -> None:
+    """The merge runs in Python, where no SQL watchdog can see it: a
+    budget that dies after the gather or mid-join still answers 504."""
+    if deadline is not None and deadline.expired:
+        raise DeadlineExceededError(
+            f"request deadline expired in the scatter {stage} "
+            f"(budget {deadline.budget * 1000:.0f} ms)")
 
 
 def _pattern_bindings(session: "RDFStore", pattern: TriplePattern,
@@ -239,8 +255,8 @@ def _pattern_bindings(session: "RDFStore", pattern: TriplePattern,
 
 
 def _hash_join(left: list[Binding], left_vars: set[str],
-               right: list[Binding], right_vars: set[str]
-               ) -> list[Binding]:
+               right: list[Binding], right_vars: set[str],
+               deadline=None) -> list[Binding]:
     """Join two binding sets on their shared variables.
 
     Disjoint variable sets degrade to the cartesian product — the same
@@ -260,6 +276,8 @@ def _hash_join(left: list[Binding], left_vars: set[str],
             tuple(binding[name] for name in shared), []).append(binding)
     joined: list[Binding] = []
     for binding in right:
+        # Per probe row: a quadratic join is where a budget dies.
+        _check_deadline(deadline, "join")
         key = tuple(binding[name] for name in shared)
         for match in table.get(key, ()):
             joined.append({**match, **binding})

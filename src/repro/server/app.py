@@ -4,35 +4,51 @@ The paper's system answers SDO_RDF_MATCH queries from inside Oracle,
 where concurrent sessions are the database's own business.  Our SQLite
 substitute is an embedded library, so this module supplies the missing
 serving tier — stdlib only — on top of the concurrency primitives in
-:mod:`repro.db.pool`:
+:mod:`repro.db.pool`.
 
-* **readers**: a :class:`~repro.db.pool.ConnectionPool` of read-only
-  connections, each wrapped in its own :class:`RDFStore` (plan cache,
-  statistics, and term caches are per-connection; the acquire-time
-  snoop invalidates them when the writer commits);
-* **writer**: a :class:`~repro.db.pool.WriterQueue` — one thread, one
-  writable connection, strict FIFO.  ``/insert`` and ``/delete`` are
-  enqueued as jobs and answered when their transaction commits;
+Storage is a list of **units**, one per database file (a single file
+is one unit, ``shards=N`` is N), and every route is written once over
+that list:
+
+* **readers**: per unit, a :class:`~repro.db.pool.ConnectionPool` of
+  read-only connections, each wrapped in its own :class:`RDFStore`
+  (plan, statistics, term and model caches are per-connection; the
+  acquire-time snoop invalidates them when a writer commits);
+* **writer**: per unit, a :class:`~repro.db.pool.WriterQueue` — one
+  thread, one writable connection, strict FIFO.  ``/insert`` and
+  ``/delete`` enqueue jobs on the units that own their subjects and
+  answer when every transaction committed;
 * **admission control**: a bounded gate (``workers + backlog``
   in-flight POSTs).  Saturation answers **429** with a ``Retry-After``
   header — the server sheds load, it never queues without bound;
-* **consistency**: every ``/match`` reads the serve-state
-  ``write_version`` (:mod:`repro.server.state`) inside the same
-  transaction as its query SQL, so responses carry a monotonic,
-  torn-read-free snapshot version.
+* **consistency**: a response names its snapshot as a **vector** of
+  durable serve-state ``write_version`` counters
+  (:mod:`repro.server.state`), one per unit; ``data_version`` is its
+  sum.  :meth:`ReproServer._read_snapshot` holds both disciplines.
+  **One unit:** the vector is read inside the same read transaction as
+  the query SQL, so it is exactly the snapshot the rows came from
+  (monotonic, torn-read-free).  **N units:** no transaction spans the
+  files, so the vector is read immediately *before* the scatter — it
+  names the newest snapshot each shard could have served, and a racing
+  write can only make the rows newer than the vector, never older
+  (``docs/sharding.md``).
 
 Routes::
 
     POST /match    {query, models, rulebases?, aliases?, filter?,
-                    order_by?, limit?}       -> {rows, count, data_version}
+                    order_by?, limit?}
+                   -> {rows, count, data_version, data_version_vector}
     POST /match/batch  {queries: [<match body>, ...]}
                    -> {results: [{rows, count, cached?} | {error, type}],
-                       count, errors, data_version}
-                   one admission ticket, one pooled lease, one snapshot
-                   data_version shared by every sub-result; per-query
-                   errors are isolated, the deadline is batch-wide
-    POST /insert   {model, triples, create?} -> {created, count, write_version}
-    POST /delete   {model, triple, force?}   -> {removed, write_version}
+                       count, errors, data_version,
+                       data_version_vector}
+                   one admission ticket, one snapshot shared by every
+                   sub-result; per-query errors are isolated, the
+                   deadline is batch-wide
+    POST /insert   {model, triples, create?}
+                   -> {created, count, write_version, shards}
+    POST /delete   {model, triple, force?}
+                   -> {removed, write_version, shard}
     GET  /stats    pool/writer/admission gauges + metrics snapshot
     GET  /metrics  Prometheus text exposition
     GET  /healthz  live/ready/degraded health (503 only when unhealthy;
@@ -83,6 +99,7 @@ completion, then the pool and writer close.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import socket
@@ -91,13 +108,14 @@ import threading
 import time
 import urllib.parse
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import IO, Any, Callable
+from typing import IO, Any, Callable, Iterator, NamedTuple
 
 from repro.cache import ResultCache, normalized_key
 from repro.cache.result_cache import estimate_bytes
-from repro.core.sharded import ShardedRDFStore
+from repro.core.sharded import ShardedRDFStore, invalidate_session
 from repro.core.store import RDFStore
 from repro.db.connection import Database
 from repro.db.faults import (
@@ -109,12 +127,9 @@ from repro.db.pool import ConnectionPool, WriterQueue
 from repro.errors import (
     DeadlineExceededError,
     ModelNotFoundError,
-    ParseError,
     PoolTimeoutError,
-    QueryError,
     ReproError,
     StorageError,
-    TermError,
     WriterShutdownError,
 )
 from repro.inference.match import sdo_rdf_match
@@ -168,8 +183,16 @@ class _BadRequest(ReproError):
     """Malformed request body or parameters (HTTP 400)."""
 
 
+class _Unit(NamedTuple):
+    """One database file as the server sees it: its read pool and its
+    single writer.  One for a file, one per shard; no route asks which."""
+
+    pool: ConnectionPool
+    writer: WriterQueue
+
+
 class _CachedMatch:
-    """One cached ``/match`` answer.
+    """One ``/match`` answer, cached or about to be.
 
     ``rows``/``count`` are the JSON-ready payload (``/match/batch``
     splices them into its own envelope); ``hit_body`` memoizes the
@@ -241,16 +264,14 @@ class ServerConfig:
     :param shards: partition ``rdf_link$`` across this many shard
         files (``<path>.shard<k>``) behind a
         :class:`~repro.core.sharded.ShardedRDFStore` — one writer
-        queue and one read pool *per shard*, scatter-gather /match
-        (see ``docs/sharding.md``).  1 (the default) keeps the
-        single-file engine.
+        queue and one read pool *per file*, scatter-gather /match
+        (see ``docs/sharding.md``).  1 (the default) serves ``path``
+        itself.
     :param result_cache: keep one shared
         :class:`~repro.cache.ResultCache` of complete ``/match``
         responses, keyed on the normalized query shape and the durable
-        serve-state write_version (the per-shard version *vector* in
-        sharded mode) — a repeated hot read skips parsing, planning,
-        and SQL entirely.  Composes with ``shards``.  See
-        ``docs/result_cache.md``.
+        write-version vector — a repeated hot read skips parsing,
+        planning, and SQL entirely.  See ``docs/result_cache.md``.
     :param result_cache_max_bytes: byte cap on cached result sets
         (LRU eviction); ``None`` means the cache's default (64 MiB).
     :param batch_limit: maximum sub-queries accepted by one
@@ -345,15 +366,16 @@ class ReproServer:
             capacity=config.slow_capacity,
             recent=config.recent_capacity)
         self._access = get_logger("server.access")
-        self._access_handler: Any = None
-        if config.access_log:
-            self._access_handler = self._attach_access_log()
-        self.pool: ConnectionPool | None = None
-        self.writer: WriterQueue | None = None
+        self._access_handler: Any = None  # attached by start()
+        # The only storage the routes see: start() fills the unit list
+        # and, for shards, points the subject router at the engine's.
+        self._units: list[_Unit] = []
+        self._unit_of: Callable[[str, Triple], int] = \
+            lambda model, triple: 0
         self.engine: ShardedRDFStore | None = None
         # One app-level cache shared by every handler thread, keyed on
-        # the durable write_version (never the pooled readers' local
-        # data_version counters, which are not comparable across
+        # the durable write-version vector (never the pooled readers'
+        # local data_version counters, which are not comparable across
         # connections).  Survives stop()/start() cycles by design —
         # version keys are durable, so reuse is safe.
         self.result_cache: ResultCache | None = None
@@ -406,41 +428,44 @@ class ReproServer:
         return store
 
     def start(self) -> "ReproServer":
-        """Open the writer, the pool, and the listener (non-blocking)."""
+        """Open the storage units and the listener (non-blocking)."""
         if self._http is not None:
             raise StorageError("server already started")
-        if self.config.access_log and self._access_handler is None:
+        config = self.config
+        if config.access_log:
             self._access_handler = self._attach_access_log()
-        if self.config.shards > 1:
-            # Sharded engine: per-shard writer queues and read pools
-            # live inside the engine; the single-file pool/writer stay
-            # None and every route branches on ``self.engine``.
-            self.engine = ShardedRDFStore(
-                self.config.path,
+        if config.shards > 1:
+            # The engine opens and routes the shard files; the server
+            # borrows each shard's pool and writer as one unit.
+            engine = self.engine = ShardedRDFStore(
+                config.path,
                 observe=False,
-                durability=self.config.durability,
-                shards=self.config.shards,
-                writer_queue=self.config.writer_queue,
-                pool_size=self.config.workers,
-                pool_timeout=self.config.pool_timeout,
+                durability=config.durability,
+                shards=config.shards,
+                writer_queue=config.writer_queue,
+                pool_size=config.workers,
+                pool_timeout=config.pool_timeout,
                 writer_init=lambda store:
                     ensure_serve_state(store.database))
+            self._units = [
+                _Unit(engine.pool(index), engine.writer(index))
+                for index in range(engine.shard_count)]
+            self._unit_of = engine.shard_of_triple
         else:
-            self.writer = WriterQueue(
-                self._writer_factory, maxsize=self.config.writer_queue,
-                observer=self.observer,
-                faults=self.config.faults).start()
-            self.pool = ConnectionPool(
-                self.config.path, size=self.config.workers,
-                durability=self.config.durability,
-                timeout=self.config.pool_timeout,
+            writer = WriterQueue(
+                self._writer_factory, maxsize=config.writer_queue,
+                observer=self.observer, faults=config.faults).start()
+            pool = ConnectionPool(
+                config.path, size=config.workers,
+                durability=config.durability,
+                timeout=config.pool_timeout,
                 observer=self.observer,
                 wrap=lambda db: RDFStore(db, observe=False),
-                invalidate=lambda store:
-                    store.values.invalidate_cache(),
-                faults=self.config.faults)
+                invalidate=invalidate_session,
+                faults=config.faults)
+            self._units = [_Unit(pool, writer)]
         self._http = _HTTPServer(
-            (self.config.host, self.config.port), _Handler)
+            (config.host, config.port), _Handler)
         self._http.app = self
         self._draining = False
         self._started_at = time.monotonic()
@@ -460,9 +485,14 @@ class ReproServer:
         return str(host), int(port)
 
     @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
+    def pool(self) -> ConnectionPool | None:
+        """The sole unit's read pool; ``None`` with N units or stopped."""
+        return self._units[0].pool if len(self._units) == 1 else None
+
+    @property
+    def writer(self) -> WriterQueue | None:
+        """The sole unit's writer queue (see :attr:`pool`)."""
+        return self._units[0].writer if len(self._units) == 1 else None
 
     def stop(self, drain: bool = True) -> None:
         """Graceful shutdown: drain requests, flush writes, close."""
@@ -474,15 +504,14 @@ class ReproServer:
         self._serve_thread.join(timeout=30.0)
         self._http = None
         self._serve_thread = None
-        if self.writer is not None:
-            self.writer.stop(drain=drain)
-            self.writer = None
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
-        if self.engine is not None:
-            self.engine.close()
+        if self.engine is None:
+            for unit in self._units:
+                unit.writer.stop(drain=drain)
+                unit.pool.close()
+        else:
+            self.engine.close()        # drains and closes every shard
             self.engine = None
+        self._units = []
         if self._access_handler is not None:
             self._access.removeHandler(self._access_handler)
             self._access_handler.close()
@@ -513,10 +542,13 @@ class ReproServer:
 
     @staticmethod
     def _match_spec(payload: dict) -> tuple:
-        """Validate one match request body (shared with /match/batch)."""
+        """Validate one match request body (shared with /match/batch)
+        into the positional arguments of SDO_RDF_MATCH — ``(query,
+        models, rulebases, aliases, filter, order_by, limit)``, the
+        order ``sdo_rdf_match`` and ``normalized_key`` both take."""
         query = _require_str(payload, "query")
-        models = _require_str_list(payload, "models")
-        rulebases = _optional_str_list(payload, "rulebases")
+        models = _str_list(payload, "models", required=True)
+        rulebases = _str_list(payload, "rulebases", required=False)
         aliases = _parse_aliases(payload.get("aliases"))
         filter_ = payload.get("filter")
         if filter_ is not None and not isinstance(filter_, str):
@@ -530,179 +562,110 @@ class ReproServer:
         return query, models, rulebases, aliases, filter_, order_by, \
             limit
 
-    def _cache_key(self, spec: tuple) -> tuple | None:
-        """The normalized cache key of a validated spec, or None when
-        the cache is off.  Raises QueryError (HTTP 400) on anything
-        the match parsers would reject — never silently uncached."""
-        if self.result_cache is None:
-            return None
-        query, models, rulebases, aliases, filter_, order_by, limit = \
-            spec
-        return normalized_key(query, models, rulebases, aliases,
-                              filter_, order_by, limit)
+    @contextmanager
+    def _read_snapshot(self, deadline: Any) -> Iterator[tuple[Any, list]]:
+        """The one read seam: yields ``(target, vector)`` — what
+        ``sdo_rdf_match`` runs against, and the per-unit durable write
+        versions naming the snapshot (the module docstring's
+        *consistency* note has the two disciplines).  One unit: a
+        pooled lease under the deadline watchdog, and one read
+        transaction around the version read AND everything the caller
+        does inside the context — a result-cache probe included.  N
+        units: the engine leases per shard and bounds each shard's SQL
+        by the deadline itself (:mod:`repro.inference.scatter`).
+        """
+        if len(self._units) > 1:
+            yield self.engine, self._versions()[0]
+            return
+        with self._units[0].pool.lease() as store:
+            database = store.database
+            with database.deadline_scope(deadline), \
+                    database.transaction():
+                yield store, [read_write_version(database)]
+
+    def _versions(self, timeout: float | None = None
+                  ) -> tuple[list, list]:
+        """Per unit, off one lease each: the durable ``write_version``
+        a response names, and the leased connection's in-process
+        ``data_version`` cache-key counter."""
+        writes, datas = [], []
+        for unit in self._units:
+            with unit.pool.lease(timeout) as store:
+                writes.append(read_write_version(store.database))
+                datas.append(store.database.data_version)
+        return writes, datas
+
+    def _answer(self, target: Any, spec: tuple,
+                vector: list) -> tuple[_CachedMatch, bool | None]:
+        """One query inside a snapshot: cache probe → ``sdo_rdf_match``
+        → JSON-ready rows → cache store.
+
+        Returns the answer and how the cache took part: ``True`` a hit,
+        ``False`` a miss (now stored), ``None`` no cache configured.
+        Entries key on the normalized query shape and the whole vector
+        (equality only), so a commit on any unit invalidates.
+        """
+        cache = self.result_cache
+        if cache is not None:
+            # Raises QueryError (HTTP 400) on anything the match
+            # parsers would reject — never silently uncached.
+            cache_key = normalized_key(*spec)
+            cached = cache.lookup(cache_key, tuple(vector))
+            if cached is not None:
+                return cached, True
+        rows = sdo_rdf_match(target, *spec)
+        rows_payload = [row.as_dict() for row in rows]
+        answer = _CachedMatch(rows_payload, len(rows))
+        if cache is None:
+            return answer, None
+        cache.store(cache_key, tuple(vector), answer,
+                    nbytes=estimate_bytes(rows_payload) + 64)
+        return answer, False
 
     def _do_match(self, payload: dict,
-                  meta: dict | None = None) -> tuple[int, dict]:
+                  meta: dict | None = None) -> tuple[int, Any]:
         spec = self._match_spec(payload)
-        if self.engine is not None:
-            return self._sharded_match(spec)
-        query, models, rulebases, aliases, filter_, order_by, limit = \
-            spec
-        cache = self.result_cache
-        cache_key = self._cache_key(spec)
         request = current_trace()
         deadline = request.deadline if request is not None else None
         start = time.perf_counter()
-        cached = None
-        with self.pool.lease() as store:
-            database = store.database
-            guard = None
-            try:
-                # One read transaction covers the version read AND the
-                # query SQL: the reported data_version is exactly the
-                # snapshot the rows came from.  The deadline scope arms
-                # a progress-handler watchdog that aborts the query SQL
-                # the moment the budget runs out.  The cache probe runs
-                # inside the same transaction, so a hit is provably the
-                # snapshot named by ``version`` — the entry was stored
-                # under this exact write_version.
-                with database.deadline_scope(deadline) as guard:
-                    with database.transaction():
-                        version = read_write_version(database)
-                        if cache_key is not None:
-                            cached = cache.lookup(cache_key, version)
-                        if cached is None:
-                            rows = sdo_rdf_match(
-                                store, query, models,
-                                rulebases=rulebases, aliases=aliases,
-                                filter=filter_, order_by=order_by,
-                                limit=limit)
-            except DeadlineExceededError:
-                if guard is not None and guard.interrupted:
-                    self.metrics.counter(
-                        "sql.interrupts",
-                        "statements aborted mid-flight by a deadline "
-                        "watchdog").inc()
-                    if request is not None:
-                        request.annotate("sql_interrupted", True)
-                raise
-            if (cached is None and request is not None
+        with self._read_snapshot(deadline) as (target, vector):
+            answer, cached = self._answer(target, spec, vector)
+            if (not cached and request is not None
                     and time.perf_counter() - start
                     >= self.slowlog.threshold):
-                # Still holding the lease: capture the plan the slow
+                # Still inside the snapshot: capture the plan the slow
                 # query would (re)use.  The plan cache makes this a
-                # cheap lookup, not a second compile.
-                self._capture_slow_match(
-                    request, store, query, models, rulebases, aliases,
-                    filter_, order_by, limit)
-        if cached is not None:
-            if request is not None:
-                request.annotate("rows", cached.count)
-                request.annotate("data_version", version)
-                request.annotate("engine", "cache")
-            if cached.hit_body is None:
-                cached.hit_body = json.dumps(
-                    {"rows": cached.rows, "count": cached.count,
-                     "data_version": version,
-                     "cached": True}).encode("utf-8")
-            return 200, cached.hit_body
-        rows_payload = [row.as_dict() for row in rows]
-        if request is not None:
-            request.annotate("rows", len(rows))
-            request.annotate("data_version", version)
-        body = {
-            "rows": rows_payload,
-            "count": len(rows),
-            "data_version": version,
-        }
-        if cache_key is not None:
-            cache.store(cache_key, version,
-                        _CachedMatch(rows_payload, len(rows)),
-                        nbytes=estimate_bytes(rows_payload) + 64)
-            body["cached"] = False
-        return 200, body
-
-    def _sharded_match(self, spec: tuple) -> tuple[int, dict]:
-        """``/match`` on the sharded engine: scatter-gather + vector.
-
-        ``data_version`` is the *sum* of the per-shard write versions
-        and ``data_version_vector`` the vector itself.  Unlike the
-        single-file path no single transaction covers every shard —
-        the vector is read immediately before the query, naming the
-        newest snapshot each shard could have served, not an atomic
-        cross-shard cut (the trade-off is documented in
-        ``docs/sharding.md``).  Cache entries key on the whole vector
-        (equality only), so a commit on any shard invalidates; the
-        vector is read *before* the scatter, so a racing write can
-        only make a stored entry newer than its key, never older.
-        """
-        query, models, rulebases, aliases, filter_, order_by, limit = \
-            spec
-        cache = self.result_cache
-        cache_key = self._cache_key(spec)
-        request = current_trace()
-        vector = self._write_version_vector()
+                # cheap lookup, not a second compile.  A query that
+                # scatters has no single plan to explain; its trace
+                # already says ``engine="scatter"``.
+                try:
+                    explanation = sdo_rdf_match(target, *spec,
+                                                explain=True)
+                    request.annotate("explain", explanation.render())
+                    request.annotate("plan_sql", explanation.plan.sql)
+                except ReproError:
+                    pass
         version = sum(vector)
-        if cache_key is not None:
-            cached = cache.lookup(cache_key, tuple(vector))
-            if cached is not None:
-                if request is not None:
-                    request.annotate("rows", cached.count)
-                    request.annotate("data_version", version)
-                    request.annotate("data_version_vector", vector)
-                    request.annotate("engine", "cache")
-                if cached.hit_body is None:
-                    cached.hit_body = json.dumps(
-                        {"rows": cached.rows, "count": cached.count,
-                         "data_version": version,
-                         "data_version_vector": vector,
-                         "cached": True}).encode("utf-8")
-                return 200, cached.hit_body
-        rows = sdo_rdf_match(
-            self.engine, query, models, rulebases=rulebases,
-            aliases=aliases, filter=filter_, order_by=order_by,
-            limit=limit)
-        rows_payload = [row.as_dict() for row in rows]
         if request is not None:
-            request.annotate("rows", len(rows))
+            request.annotate("rows", answer.count)
             request.annotate("data_version", version)
             request.annotate("data_version_vector", vector)
         body = {
-            "rows": rows_payload,
-            "count": len(rows),
+            "rows": answer.rows,
+            "count": answer.count,
             "data_version": version,
             "data_version_vector": vector,
         }
-        if cache_key is not None:
-            cache.store(cache_key, tuple(vector),
-                        _CachedMatch(rows_payload, len(rows)),
-                        nbytes=estimate_bytes(rows_payload) + 64)
+        if cached:
+            if request is not None:
+                request.annotate("engine", "cache")
+            if answer.hit_body is None:
+                body["cached"] = True
+                answer.hit_body = json.dumps(body).encode("utf-8")
+            return 200, answer.hit_body
+        if cached is not None:
             body["cached"] = False
         return 200, body
-
-    def _write_version_vector(self) -> list[int]:
-        """Per-shard serve-state write versions (pool reads)."""
-        vector = []
-        for index in range(self.engine.shard_count):
-            with self.engine.shard_session(index) as store:
-                vector.append(read_write_version(store.database))
-        return vector
-
-    def _capture_slow_match(self, request: RequestTrace,
-                            store: RDFStore, query: str,
-                            models: list[str], rulebases: list[str],
-                            aliases: AliasSet | None, filter_: Any,
-                            order_by: Any, limit: Any) -> None:
-        """Attach plan/EXPLAIN context to a slow /match's trace."""
-        try:
-            explanation = sdo_rdf_match(
-                store, query, models, rulebases=rulebases,
-                aliases=aliases, filter=filter_, order_by=order_by,
-                limit=limit, explain=True)
-        except ReproError:  # pragma: no cover - the query just ran
-            return
-        request.annotate("explain", explanation.render())
-        request.annotate("plan_sql", explanation.plan.sql)
 
     # ------------------------------------------------------------------
     # POST /match/batch — the multi-query protocol
@@ -713,14 +676,12 @@ class ReproServer:
         """N match queries, one request.
 
         The whole batch costs one admission ticket (taken before the
-        body was read, like any POST), one pooled read lease, and one
-        snapshot: every sub-result shares the ``data_version`` read at
-        the top of the transaction.  Per-query errors are isolated —
-        a bad sub-query answers with its own ``{error, type}`` object
-        while its siblings still return rows.  The request deadline is
-        batch-wide: expiry aborts the remaining sub-queries and the
-        whole request answers 504 (the batch is read-only, so a retry
-        — with or without an ``Idempotency-Key`` — is always safe).
+        body was read, like any POST) and one snapshot
+        (:meth:`_read_snapshot`): every sub-result shares the version
+        vector — the consistency /match gives one query, extended
+        across the batch.  What is isolated per sub-query and what
+        aborts the batch is :meth:`_one_batch_query`'s contract; a 504
+        is always safe to retry (the batch is read-only).
         """
         raw = payload.get("queries")
         if not isinstance(raw, list) or not raw:
@@ -730,50 +691,28 @@ class ReproServer:
             raise _BadRequest(
                 f"batch of {len(raw)} queries exceeds the server's "
                 f"batch_limit of {self.config.batch_limit}")
-        if self.engine is not None:
-            return self._sharded_match_batch(raw)
         request = current_trace()
         deadline = request.deadline if request is not None else None
-        cache = self.result_cache
-        results: list[dict] = []
-        with self.pool.lease() as store:
-            database = store.database
-            guard = None
-            try:
-                # One read transaction covers the version read and
-                # every sub-query: all N answers come from the same
-                # snapshot — the consistency /match gives one query,
-                # extended across the batch.
-                with database.deadline_scope(deadline) as guard:
-                    with database.transaction():
-                        version = read_write_version(database)
-                        for item in raw:
-                            results.append(self._one_batch_query(
-                                store, item, version, cache))
-            except DeadlineExceededError:
-                if guard is not None and guard.interrupted:
-                    self.metrics.counter(
-                        "sql.interrupts",
-                        "statements aborted mid-flight by a deadline "
-                        "watchdog").inc()
-                    if request is not None:
-                        request.annotate("sql_interrupted", True)
-                raise
+        with self._read_snapshot(deadline) as (target, vector):
+            results = [self._one_batch_query(target, item, vector)
+                       for item in raw]
         errors = sum(1 for entry in results if "error" in entry)
+        version = sum(vector)
         if request is not None:
             request.annotate("batch", len(results))
             request.annotate("batch_errors", errors)
             request.annotate("data_version", version)
+            request.annotate("data_version_vector", vector)
         return 200, {
             "results": results,
             "count": len(results),
             "errors": errors,
             "data_version": version,
+            "data_version_vector": vector,
         }
 
-    def _one_batch_query(self, store: RDFStore, item: Any,
-                         version: int, cache: ResultCache | None,
-                         vector: tuple | None = None) -> dict:
+    def _one_batch_query(self, target: Any, item: Any,
+                         vector: list) -> dict:
         """One sub-query of a batch: answer or isolated error object.
 
         Two error families are deliberately NOT isolated and abort the
@@ -788,164 +727,118 @@ class ReproServer:
             if not isinstance(item, dict):
                 raise _BadRequest(
                     "each batch entry must be a match object")
-            spec = self._match_spec(item)
-            cache_key = self._cache_key(spec)
-            cache_version = vector if vector is not None else version
-            if cache_key is not None:
-                cached = cache.lookup(cache_key, cache_version)
-                if cached is not None:
-                    return {"rows": cached.rows,
-                            "count": cached.count,
-                            "cached": True}
-            query, models, rulebases, aliases, filter_, order_by, \
-                limit = spec
-            rows = sdo_rdf_match(
-                store, query, models, rulebases=rulebases,
-                aliases=aliases, filter=filter_, order_by=order_by,
-                limit=limit)
-            rows_payload = [row.as_dict() for row in rows]
-            entry = {"rows": rows_payload, "count": len(rows)}
-            if cache_key is not None:
-                cache.store(cache_key, cache_version,
-                            _CachedMatch(rows_payload, len(rows)),
-                            nbytes=estimate_bytes(rows_payload) + 64)
-                entry["cached"] = False
-            return entry
+            answer, cached = self._answer(
+                target, self._match_spec(item), vector)
         except (DeadlineExceededError, _BadRequest):
             raise
         except ReproError as exc:
             return _error(exc)
-
-    def _sharded_match_batch(self, raw: list) -> tuple[int, dict]:
-        """The batch on a sharded engine: one version vector, read
-        once before the first sub-query, shared by every answer —
-        the same snapshot discipline as :meth:`_sharded_match`."""
-        request = current_trace()
-        vector = self._write_version_vector()
-        version = sum(vector)
-        cache = self.result_cache
-        results = [self._one_batch_query(self.engine, item, version,
-                                         cache, vector=tuple(vector))
-                   for item in raw]
-        errors = sum(1 for entry in results if "error" in entry)
-        if request is not None:
-            request.annotate("batch", len(results))
-            request.annotate("batch_errors", errors)
-            request.annotate("data_version", version)
-            request.annotate("data_version_vector", vector)
-        return 200, {
-            "results": results,
-            "count": len(results),
-            "errors": errors,
-            "data_version": version,
-            "data_version_vector": vector,
-        }
+        entry = {"rows": answer.rows, "count": answer.count}
+        if cached is not None:
+            entry["cached"] = cached
+        return entry
 
     def _do_insert(self, payload: dict,
                    meta: dict | None = None) -> tuple[int, dict]:
+        """``/insert``: the batch fans out to the units that own its
+        subjects (a single file owns them all).
+
+        Each unit commits its own write transaction (rows + idempotency
+        ledger + write-version bump) on its own writer queue, in
+        parallel.  There is **no cross-unit atomicity**: a failure can
+        leave some shards committed.  A retry with the same
+        ``Idempotency-Key`` converges — committed shards replay their
+        recorded outcome, the rest re-apply, and re-inserting an
+        existing triple is a no-op (``created`` counts honestly); see
+        ``docs/sharding.md``.
+        """
         model = _require_str(payload, "model")
-        create = bool(payload.get("create", False))
         raw = payload.get("triples")
         if not isinstance(raw, list) or not raw:
             raise _BadRequest(
                 "triples must be a non-empty list of [s, p, o]")
         triples = [Triple.from_text(*_spo(item)) for item in raw]
-        if self.engine is not None:
-            return 200, self._sharded_insert(model, create, triples,
-                                             meta)
+        if payload.get("create", False):
+            # Model DDL is broadcast: every unit must know the model so
+            # any of them can answer any of its patterns.  Check-and-
+            # create runs on each unit's writer, so concurrent creators
+            # cannot race.
+            def ensure(store: RDFStore) -> None:
+                with store.database.transaction():
+                    if not store.model_exists(model):
+                        store.create_model(model)
 
-        def mutate(store: RDFStore) -> dict:
-            database = store.database
-            created = 0
-            if create and not store.model_exists(model):
-                store.create_model(model)
-            info = store.models.get(model)
-            for triple in triples:
-                result = store.parser.insert(info, triple)
-                created += 1 if result.created else 0
-            version = bump_write_version(database)
-            return {"created": created, "count": len(triples),
-                    "write_version": version}
+            self._await_writes(
+                [(index, unit.writer.submit(ensure))
+                 for index, unit in enumerate(self._units)], "insert")
+        batches: dict[int, list[Triple]] = {}
+        for triple in triples:
+            batches.setdefault(self._unit_of(model, triple),
+                               []).append(triple)
 
-        return 200, self._write(mutate, route="insert", meta=meta)
+        def inserter(batch: list[Triple]):
+            def mutate(store: RDFStore) -> dict:
+                info = store.models.get(model)
+                created = 0
+                for triple in batch:
+                    result = store.parser.insert(info, triple)
+                    created += 1 if result.created else 0
+                version = bump_write_version(store.database)
+                return {"created": created, "count": len(batch),
+                        "write_version": version}
+            return mutate
+
+        outcomes = self._submit_writes(
+            {index: inserter(batch)
+             for index, batch in batches.items()}, "insert", meta)
+        body = {
+            "created": sum(o["created"] for o in outcomes.values()),
+            "count": sum(o["count"] for o in outcomes.values()),
+            "write_version": sum(o["write_version"]
+                                 for o in outcomes.values()),
+            "shards": {str(index): o["write_version"]
+                       for index, o in outcomes.items()},
+        }
+        if all(o.get("idempotent_replay") for o in outcomes.values()):
+            body["idempotent_replay"] = True
+        return 200, body
 
     def _do_delete(self, payload: dict,
                    meta: dict | None = None) -> tuple[int, dict]:
         model = _require_str(payload, "model")
         subject, predicate, obj = _spo(payload.get("triple"))
         force = bool(payload.get("force", False))
+        # A delete names one concrete subject: exactly one unit owns it.
+        index = self._unit_of(
+            model, Triple.from_text(subject, predicate, obj))
 
         def mutate(store: RDFStore) -> dict:
-            database = store.database
             removed = store.remove_triple(
                 model, subject, predicate, obj, force=force)
-            version = bump_write_version(database)
+            version = bump_write_version(store.database)
             return {"removed": removed, "write_version": version}
 
-        if self.engine is not None:
-            # A delete names one concrete subject, so it routes to
-            # exactly one shard — the same single-shard write path a
-            # single-file server runs, just on the owning partition.
-            triple = Triple.from_text(subject, predicate, obj)
-            shard = self.engine.shard_of_triple(model, triple)
-            key = (meta or {}).get("idempotency_key")
-            job = self._ledger_job(mutate, key, "delete")
-            future = self.engine.submit(shard, job, timeout=0)
-            outcome = dict(self._await_writes(
-                [(shard, future)], "delete")[shard])
-            outcome.setdefault("shard", shard)
-            return 200, outcome
+        outcome = dict(self._submit_writes(
+            {index: mutate}, "delete", meta)[index])
+        outcome.setdefault("shard", index)
+        return 200, outcome
 
-        return 200, self._write(mutate, route="delete", meta=meta)
+    def _submit_writes(self, groups: dict[int, Callable[[RDFStore], dict]],
+                       route: str, meta: dict | None) -> dict[int, dict]:
+        """Enqueue one write job per unit in ``groups`` (unit index →
+        mutate) and wait for every commit.
 
-    def _write(self, mutate: Callable[[RDFStore], dict],
-               route: str = "write",
-               meta: dict | None = None) -> dict:
-        """Enqueue a write job and wait for its commit.
-
-        ``mutate`` runs inside one write transaction together with the
-        idempotency ledger: when the request carried an
-        ``Idempotency-Key``, a recorded outcome is replayed without
-        executing ``mutate`` at all, and a fresh outcome is recorded
-        atomically with the mutation — exactly-once across retries.
-
-        The wait for the commit is bounded by the request's remaining
-        deadline budget; on expiry a still-queued job is cancelled
-        (never applied), a running one keeps going and the 504 tells
-        the client to retry with the same key to learn the outcome.
+        Each ``mutate`` shares its write transaction with the
+        idempotency ledger: a recorded outcome is replayed without
+        executing ``mutate`` at all, a fresh one is recorded atomically
+        with the mutation — exactly-once across retries, per unit.  A
+        full writer queue is an immediate PoolTimeoutError (429).
         """
         key = (meta or {}).get("idempotency_key")
-        job = self._ledger_job(mutate, key, route)
-        request = current_trace()
-        deadline = request.deadline if request is not None else None
-        future = self.writer.submit(job)  # PoolTimeoutError -> 429
-        timeout = self.config.request_timeout
-        if deadline is not None:
-            timeout = deadline.bound(timeout)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            if deadline is None or not deadline.expired:
-                raise
-            if future.cancel():
-                raise DeadlineExceededError(
-                    f"deadline expired before the {route} job "
-                    "started; the job was cancelled (not applied)"
-                ) from None
-            raise DeadlineExceededError(
-                f"deadline expired waiting for the {route} commit; "
-                "the job is still running — retry with the same "
-                "Idempotency-Key to learn its outcome") from None
-
-    def _ledger_job(self, mutate: Callable[[RDFStore], dict],
-                    key: str | None,
-                    route: str) -> Callable[[RDFStore], dict]:
-        """Wrap ``mutate`` in one write transaction together with the
-        idempotency ledger (the exactly-once contract of
-        :meth:`_write`, shared by the per-shard write paths)."""
         capacity = self.config.idempotency_capacity
 
-        def job(store: RDFStore) -> dict:
+        def job(mutate: Callable[[RDFStore], dict],
+                store: RDFStore) -> dict:
             database = store.database
             with database.transaction():
                 if key is not None:
@@ -963,78 +856,21 @@ class ReproServer:
                                       capacity)
             return outcome
 
-        return job
-
-    def _sharded_insert(self, model: str, create: bool,
-                        triples: list[Triple],
-                        meta: dict | None) -> dict:
-        """``/insert`` fanned out to every shard that owns a subject.
-
-        Each target shard commits its own write transaction (batch +
-        idempotency ledger + write-version bump) on its own writer
-        queue — batches for different shards commit in parallel.
-        There is **no cross-shard atomicity**: a failure can leave
-        some shards committed.  A retry with the same
-        ``Idempotency-Key`` converges — committed shards replay their
-        recorded outcome, the rest re-apply, and re-inserting an
-        existing triple is a no-op (``created`` counts honestly).
-        The trade-off is documented in ``docs/sharding.md``.
-        """
-        engine = self.engine
-        if create and not engine.model_exists(model):
-            try:
-                engine.create_model(model)
-            except ReproError:
-                # Lost a create race against a concurrent request —
-                # fine, as long as the model exists now.
-                if not engine.model_exists(model):
-                    raise
-        groups: dict[int, list[Triple]] = {}
-        for triple in triples:
-            shard = engine.shard_of_triple(model, triple)
-            groups.setdefault(shard, []).append(triple)
-        key = (meta or {}).get("idempotency_key")
-
-        def make_mutate(batch: list[Triple]):
-            def mutate(store: RDFStore) -> dict:
-                created = 0
-                info = store.models.get(model)
-                for triple in batch:
-                    result = store.parser.insert(info, triple)
-                    created += 1 if result.created else 0
-                version = bump_write_version(store.database)
-                return {"created": created, "count": len(batch),
-                        "write_version": version}
-            return mutate
-
-        futures = []
-        for shard in sorted(groups):
-            job = self._ledger_job(make_mutate(groups[shard]), key,
-                                   "insert")
-            # timeout=0: a full shard queue is an immediate 429.
-            futures.append(
-                (shard, engine.submit(shard, job, timeout=0)))
-        outcomes = self._await_writes(futures, "insert")
-        body = {
-            "created": sum(o["created"] for o in outcomes.values()),
-            "count": sum(o["count"] for o in outcomes.values()),
-            "write_version": sum(o["write_version"]
-                                 for o in outcomes.values()),
-            "shards": {str(shard): o["write_version"]
-                       for shard, o in outcomes.items()},
-        }
-        if all(o.get("idempotent_replay") for o in outcomes.values()):
-            body["idempotent_replay"] = True
-        return body
+        return self._await_writes(
+            [(index, self._units[index].writer.submit(
+                functools.partial(job, groups[index])))
+             for index in sorted(groups)], route)
 
     def _await_writes(self, futures: list[tuple[int, Any]],
                       route: str) -> dict[int, dict]:
-        """Wait for per-shard write commits under one shared budget.
+        """Wait for per-unit write commits under one shared budget.
 
         One ``request_timeout`` (bounded by the request deadline)
-        covers *all* shards together; on expiry still-queued jobs are
-        cancelled (never applied), running ones keep going, and the
-        504 tells the client to retry with the same Idempotency-Key.
+        covers *all* units together.  When it is the deadline that ran
+        out, still-queued jobs are cancelled (never applied), running
+        ones keep going, and the 504 tells the client to retry with
+        the same Idempotency-Key; a plain ``request_timeout`` expiry
+        leaves the jobs queued (503 — they still run).
         """
         request = current_trace()
         deadline = request.deadline if request is not None else None
@@ -1043,27 +879,38 @@ class ReproServer:
             timeout = deadline.bound(timeout)
         end = time.monotonic() + timeout
         outcomes: dict[int, dict] = {}
-        for shard, future in futures:
+        for index, future in futures:
             remaining = end - time.monotonic()
             try:
-                outcomes[shard] = future.result(
+                outcomes[index] = future.result(
                     timeout=max(0.0, remaining))
             except FutureTimeoutError:
-                for _, later in futures:
-                    later.cancel()
                 if deadline is None or not deadline.expired:
                     raise
+                for _, later in futures:
+                    later.cancel()
                 raise DeadlineExceededError(
                     f"deadline expired waiting for the {route} "
-                    f"commit on shard {shard}; cancelled jobs were "
+                    f"commit on shard {index}; cancelled jobs were "
                     "not applied, running ones keep going — retry "
                     "with the same Idempotency-Key to learn the "
                     "outcome") from None
         return outcomes
 
     def _do_stats(self) -> tuple[int, dict]:
-        gate_free = getattr(self._gate, "_value", None)
         self._sample_saturation()
+        units = self._units
+        # Lease before reading the gauges: the lease snoops
+        # ``data_version``, so each row's pool counters are live and
+        # its version numbers come from the same lease.
+        try:
+            vector, data_versions = self._versions(timeout=1.0)
+        except PoolTimeoutError:
+            # A saturated pool answers nulls rather than blocking
+            # /stats behind query traffic.
+            vector = data_versions = [None] * len(units)
+        pools = [unit.pool.stats() for unit in units]
+        writers = [unit.writer.stats() for unit in units]
         body = {
             "server": {
                 "uptime_seconds": round(
@@ -1073,60 +920,46 @@ class ReproServer:
                 "durability": self.config.durability,
                 "observe": self.config.observe,
                 "draining": self._draining,
-                "admission_free": gate_free,
-                "engine": ("sharded" if self.engine is not None
-                           else "single"),
+                "admission_free": getattr(self._gate, "_value", None),
+                "engine": "sharded" if len(units) > 1 else "single",
                 "shards": self.config.shards,
                 "result_cache": self.result_cache is not None,
             },
-            "pool": self.pool.stats() if self.pool else {},
-            "writer": self.writer.stats() if self.writer else {},
+            # Totals over the units (the one unit's own numbers for a
+            # single file); the per-unit rows are under "shards".
+            "pool": {
+                "path": self.config.path,
+                **{name: sum(pool[name] for pool in pools)
+                   for name in pools[0] if name != "path"}},
+            "writer": {
+                "depth": max(w["depth"] for w in writers),
+                "jobs_done": sum(w["jobs_done"] for w in writers),
+                "jobs_failed": sum(w["jobs_failed"] for w in writers),
+                "running": all(w["running"] for w in writers),
+                "aborted": any(w["aborted"] for w in writers),
+            },
             "health": self._assess_health().as_dict(),
             "slow_requests": self.slowlog.stats(),
             "metrics": self.metrics.as_dict(),
+            # "version" means two things only: the durable
+            # write-version vector a response names (and its sum), and
+            # each leased connection's in-process ``data_version``
+            # cache-key counter.
+            "versions": {
+                "write_version": None if None in vector else sum(vector),
+                "write_version_vector": vector,
+                "data_version": data_versions,
+            },
+            "shards": [
+                {"shard": index, "path": pool["path"], "writer": writer,
+                 "pool": pool, "write_version": write,
+                 "data_version": data}
+                for index, (pool, writer, write, data) in enumerate(
+                    zip(pools, writers, vector, data_versions))],
         }
         if self.result_cache is not None:
             body["result_cache"] = self.result_cache.stats()
-        if self.engine is not None:
-            body["shards"] = self._shard_overview()
-        if self.pool is not None:
-            body["versions"] = self._read_versions()
         return 200, body
-
-    def _read_versions(self) -> dict:
-        """``data_version``/``write_version`` off one pool lease.
-
-        A saturated pool answers nulls rather than blocking ``/stats``
-        behind query traffic.
-        """
-        try:
-            with self.pool.lease(timeout=1.0) as store:
-                return {
-                    "data_version": store.database.data_version,
-                    "write_version": read_write_version(store.database),
-                }
-        except PoolTimeoutError:
-            return {"data_version": None, "write_version": None}
-
-    def _shard_overview(self) -> list[dict]:
-        """Per-shard depth/version rows for ``/stats``.
-
-        Leasing before reading stats means each row's pool gauges are
-        live (the lease forces the lazy pool into existence and snoops
-        ``data_version``), and the version numbers come from the same
-        lease.
-        """
-        versions = []
-        for index in range(self.engine.shard_count):
-            with self.engine.shard_session(index) as store:
-                versions.append((read_write_version(store.database),
-                                 store.database.data_version))
-        overview = self.engine.shard_stats()
-        for stat, (write_version, data_version) in zip(overview,
-                                                       versions):
-            stat["write_version"] = write_version
-            stat["data_version"] = data_version
-        return overview
 
     def _do_debug_slow(self, query_string: str) -> tuple[int, Any]:
         """``GET /debug/slow[?limit=N]`` — the slow-request log."""
@@ -1165,40 +998,30 @@ class ReproServer:
     def _assess_health(self) -> HealthReport:
         """Grade the serving layer from its live gauges.
 
-        Sharded mode aggregates pessimistically: *every* shard writer
-        must run, the deepest queue is the reported depth, and pool
-        occupancy sums across shards against the summed capacity.
+        The units aggregate pessimistically: *every* writer must run,
+        the deepest queue is the reported depth, and pool occupancy
+        sums across units against the summed capacity.
         """
-        if self.engine is not None:
-            engine = self.engine
-            writers = [engine.writer(index)
-                       for index in range(engine.shard_count)]
-            return self.health.assess(
-                writer_running=all(w.running for w in writers),
-                writer_depth=max(w.depth for w in writers),
-                queue_limit=self.config.writer_queue,
-                pool_in_use=self._pool_in_use() or 0,
-                pool_size=self.config.workers * engine.shard_count)
-        writer, pool = self.writer, self.pool
         return self.health.assess(
-            writer_running=writer is not None and writer.running,
-            writer_depth=writer.depth if writer is not None else 0,
+            writer_running=self._writers_running(),
+            writer_depth=self._queue_depth(),
             queue_limit=self.config.writer_queue,
-            pool_in_use=pool.in_use if pool is not None else 0,
-            pool_size=self.config.workers)
+            pool_in_use=self._pool_in_use(),
+            pool_size=self.config.workers * len(self._units))
 
-    def _queue_depth(self) -> int | None:
-        """Writer-queue depth gauge (deepest shard in sharded mode)."""
-        if self.engine is not None:
-            return max(self.engine.writer(index).depth
-                       for index in range(self.engine.shard_count))
-        return self.writer.depth if self.writer is not None else None
+    def _writers_running(self) -> bool:
+        """Every unit's writer thread is alive (False when stopped)."""
+        return bool(self._units) and all(
+            unit.writer.running for unit in self._units)
 
-    def _pool_in_use(self) -> int | None:
-        """Read leases out across all pools (summed over shards)."""
-        if self.engine is not None:
-            return self.engine.pool_in_use()
-        return self.pool.in_use if self.pool is not None else None
+    def _queue_depth(self) -> int:
+        """Writer-queue depth gauge: the deepest unit's."""
+        return max((unit.writer.depth for unit in self._units),
+                   default=0)
+
+    def _pool_in_use(self) -> int:
+        """Read leases out, summed across every unit's pool."""
+        return sum(unit.pool.in_use for unit in self._units)
 
     def _do_healthz(self, query_string: str = "") -> tuple[int, dict]:
         """Live/ready/degraded health.
@@ -1216,12 +1039,7 @@ class ReproServer:
         if check == "ready":
             return ((200 if report.ready else 503),
                     {"status": report.state, "ready": report.ready})
-        if self.engine is not None:
-            writer_ok = all(
-                self.engine.writer(index).running
-                for index in range(self.engine.shard_count))
-        else:
-            writer_ok = self.writer is not None and self.writer.running
+        writer_ok = self._writers_running()
         integrity = "skipped (writer down)"
         if writer_ok:
             try:
@@ -1246,20 +1064,15 @@ class ReproServer:
         return (200 if report.ready else 503), body
 
     def _integrity_probe(self) -> str:
-        """A bounded ``PRAGMA quick_check`` — every shard in sharded
-        mode, first failure wins."""
-        if self.engine is not None:
-            for index in range(self.engine.shard_count):
-                with self.engine.pool(index).lease(
-                        timeout=1.0) as store:
-                    verdict = str(store.database.query_value(
-                        "PRAGMA quick_check", default="failed"))
-                if verdict != "ok":
-                    return f"shard {index}: {verdict}"
-            return "ok"
-        with self.pool.lease(timeout=1.0) as store:
-            return str(store.database.query_value(
-                "PRAGMA quick_check", default="failed"))
+        """A bounded ``PRAGMA quick_check`` of every unit's file, first
+        failure wins."""
+        for index, unit in enumerate(self._units):
+            with unit.pool.lease(timeout=1.0) as store:
+                verdict = str(store.database.query_value(
+                    "PRAGMA quick_check", default="failed"))
+            if verdict != "ok":
+                return f"shard {index}: {verdict}"
+        return "ok"
 
     # ------------------------------------------------------------------
     # dispatch plumbing (called from the handler threads)
@@ -1273,17 +1086,21 @@ class ReproServer:
             status, body = fn(payload, meta or {})
             return status, body, {}
         except DeadlineExceededError as exc:
+            if exc.sql_interrupted:
+                self.metrics.counter(
+                    "sql.interrupts",
+                    "statements aborted mid-flight by a deadline "
+                    "watchdog").inc()
+                request = current_trace()
+                if request is not None:
+                    request.annotate("sql_interrupted", True)
             return self._deadline_exceeded(str(exc))
         except WriterShutdownError as exc:
             return 503, _error(exc), {}
         except PoolTimeoutError as exc:
             return self._reject(str(exc))
-        except _BadRequest as exc:
-            return 400, _error(exc), {}
         except ModelNotFoundError as exc:
             return 404, _error(exc), {}
-        except (QueryError, ParseError, TermError) as exc:
-            return 400, _error(exc), {}
         except FutureTimeoutError:
             return 503, {"error": "write did not commit within "
                          f"{self.config.request_timeout}s (still "
@@ -1292,17 +1109,15 @@ class ReproServer:
             self.metrics.counter("server.errors").inc()
             return 500, _error(exc), {}
         except ReproError as exc:
+            # Everything else is the request's fault: _BadRequest,
+            # QueryError, ParseError, TermError, ...
             return 400, _error(exc), {}
 
-    def _deadline_exceeded(self, message: str) -> tuple[int, dict, dict]:
-        """A 504 deadline answer with the same saturation context as
-        the 429 path — *why* the budget ran out is usually load."""
-        self.metrics.counter(
-            "server.deadline_exceeded",
-            "requests answered 504 after their deadline expired").inc()
-        body = {
-            "error": message,
-            "type": "DeadlineExceeded",
+    def _saturation(self) -> dict:
+        """The saturation context of a refused request — current queue
+        depth and pool occupancy against their limits — so a client
+        (or a human reading the log) sees *why*."""
+        return {
             "queue_depth": self._queue_depth(),
             "queue_limit": self.config.writer_queue,
             "pool_in_use": self._pool_in_use(),
@@ -1310,6 +1125,15 @@ class ReproServer:
             "admission_limit": self.config.workers + self.config.backlog,
             "admission_free": getattr(self._gate, "_value", None),
         }
+
+    def _deadline_exceeded(self, message: str) -> tuple[int, dict, dict]:
+        """A 504 deadline answer with the same saturation context as
+        the 429 path — *why* the budget ran out is usually load."""
+        self.metrics.counter(
+            "server.deadline_exceeded",
+            "requests answered 504 after their deadline expired").inc()
+        body = {"error": message, "type": "DeadlineExceeded",
+                **self._saturation()}
         return 504, body, {}
 
     def _maybe_shed(self,
@@ -1327,43 +1151,28 @@ class ReproServer:
         self.metrics.counter(
             "server.shed_degraded",
             "low-priority requests shed while degraded").inc()
-        body = {
-            "error": (f"server degraded ({'; '.join(report.reasons)}); "
-                      f"shedding priority {trace.priority} < floor "
-                      f"{self.config.shed_priority_below}"),
-            "type": "DegradedShed",
-            "health": report.as_dict(),
-            "retry_after_seconds": self.config.retry_after,
-        }
-        headers = {
-            "Retry-After": str(max(1, math.ceil(self.config.retry_after))),
-        }
-        return 429, body, headers
+        return self._retry_later(
+            f"server degraded ({'; '.join(report.reasons)}); "
+            f"shedding priority {trace.priority} < floor "
+            f"{self.config.shed_priority_below}",
+            "DegradedShed", health=report.as_dict())
 
     def _reject(self, message: str) -> tuple[int, dict, dict]:
-        """A 429 backpressure answer with Retry-After.
-
-        The body carries the saturation context a client (or a human
-        reading the log) needs to see *why*: current queue depth and
-        pool occupancy against their limits.
-        """
+        """A 429 backpressure answer, saturation context attached."""
         self.metrics.counter(
             "server.rejected", "requests shed with HTTP 429").inc()
-        body = {
-            "error": message,
-            "type": "Backpressure",
-            "retry_after_seconds": self.config.retry_after,
-            "queue_depth": self._queue_depth(),
-            "queue_limit": self.config.writer_queue,
-            "pool_in_use": self._pool_in_use(),
-            "pool_size": self.config.workers,
-            "admission_limit": self.config.workers + self.config.backlog,
-            "admission_free": getattr(self._gate, "_value", None),
-        }
-        headers = {
-            "Retry-After": str(max(1, math.ceil(self.config.retry_after))),
-        }
-        return 429, body, headers
+        return self._retry_later(message, "Backpressure",
+                                 **self._saturation())
+
+    def _retry_later(self, message: str, kind: str,
+                     **context: Any) -> tuple[int, dict, dict]:
+        """Every 429: the suggested backoff in the body and as a
+        ``Retry-After`` header (whole seconds, at least 1)."""
+        retry_after = self.config.retry_after
+        body = {"error": message, "type": kind,
+                "retry_after_seconds": retry_after, **context}
+        return 429, body, {
+            "Retry-After": str(max(1, math.ceil(retry_after)))}
 
     def admit(self) -> bool:
         """Try to take an admission slot (POST routes only).
@@ -1382,9 +1191,9 @@ class ReproServer:
     def _sample_saturation(self) -> None:
         """Refresh the queue-depth and pool-occupancy gauges.
 
-        Sharded mode additionally exports one depth and one version
-        gauge per shard, so saturation on a single hot partition is
-        visible even when the aggregate looks healthy.
+        One depth gauge per unit rides along, so saturation on a
+        single hot partition is visible even when the aggregate looks
+        healthy.
         """
         result_cache = self.result_cache
         if result_cache is not None:
@@ -1396,34 +1205,19 @@ class ReproServer:
                     f"result_cache.{name}",
                     f"result-cache {name} since start").set(
                         status[name])
-        if self.engine is not None:
-            engine = self.engine
-            depths = []
-            for index in range(engine.shard_count):
-                depth = engine.writer(index).depth
-                depths.append(depth)
-                self.metrics.gauge(
-                    f"shard{index}.queue_depth",
-                    f"write jobs queued on shard {index}").set(depth)
+        for index, unit in enumerate(self._units):
             self.metrics.gauge(
-                "server.queue_depth",
-                "write jobs waiting in the writer queue "
-                "(deepest shard)").set(max(depths))
-            self.metrics.gauge(
-                "pool.in_use",
-                "read connections out on lease "
-                "(all shards)").set(engine.pool_in_use())
-            return
-        writer, pool = self.writer, self.pool
-        if writer is not None:
-            self.metrics.gauge(
-                "server.queue_depth",
-                "write jobs waiting in the writer queue").set(
-                    writer.depth)
-        if pool is not None:
-            self.metrics.gauge(
-                "pool.in_use",
-                "read connections out on lease").set(pool.in_use)
+                f"shard{index}.queue_depth",
+                f"write jobs queued on shard {index}").set(
+                    unit.writer.depth)
+        self.metrics.gauge(
+            "server.queue_depth",
+            "write jobs waiting in the writer queue "
+            "(deepest shard)").set(self._queue_depth())
+        self.metrics.gauge(
+            "pool.in_use",
+            "read connections out on lease "
+            "(all shards)").set(self._pool_in_use())
 
     # ------------------------------------------------------------------
     # request lifecycle (called from the handler threads)
@@ -1497,25 +1291,19 @@ def _require_str(payload: dict, key: str) -> str:
     return value
 
 
-def _require_str_list(payload: dict, key: str) -> list[str]:
+def _str_list(payload: dict, key: str, required: bool) -> list[str]:
+    """A list of strings (a bare string is a list of one); a missing
+    optional list is empty, a required one must not be."""
     value = payload.get(key)
-    if isinstance(value, str):
-        value = [value]
-    if (not isinstance(value, list) or not value
-            or not all(isinstance(item, str) for item in value)):
-        raise _BadRequest(f"{key!r} must be a non-empty list of strings")
-    return value
-
-
-def _optional_str_list(payload: dict, key: str) -> list[str]:
-    value = payload.get(key)
-    if value is None:
+    if value is None and not required:
         return []
     if isinstance(value, str):
         value = [value]
-    if (not isinstance(value, list)
+    if (not isinstance(value, list) or (required and not value)
             or not all(isinstance(item, str) for item in value)):
-        raise _BadRequest(f"{key!r} must be a list of strings")
+        raise _BadRequest(
+            f"{key!r} must be a {'non-empty ' if required else ''}"
+            "list of strings")
     return value
 
 

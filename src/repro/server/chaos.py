@@ -31,8 +31,8 @@ resilience invariants:
    *miss* more than strictly necessary; it may never serve a snapshot
    from before an acknowledged write.
 
-The driver is shared by the storm tests (``tests/server/test_chaos.py``),
-the ``repro chaos`` CLI command, and the resilience benchmark.
+The driver is shared by the storm tests (``tests/server/test_chaos.py``)
+and the ``repro chaos`` CLI command.
 """
 
 from __future__ import annotations

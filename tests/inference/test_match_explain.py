@@ -25,7 +25,7 @@ def _explain(store, query, **kwargs):
     return sdo_rdf_match(store, query, ["cia"], explain=True, **kwargs)
 
 
-#: The benchmark's query shapes (benchmarks/bench_match_queries.py).
+#: The query shapes the planner was first benchmarked on.
 SHAPES = [
     ("anchored subject", "(id:JohnDoe ?p ?o)", {}),
     ("anchored predicate", "(?s gov:terrorSuspect ?o)", {}),
