@@ -7,27 +7,20 @@ expansion), yet every HTTP ``/match`` re-ran parsing, planning, and SQL.
 sets keyed on the *normalized* query shape plus the data version the
 rows were computed under, so a repeated hot read is a dict probe.
 
-Invalidation is exact and free: every write transaction already bumps a
-version (``rdf_serve_state$`` write_version on the server, the
-connection ``data_version`` in process, the per-shard version vector on
-a sharded engine).  A lookup under a newer version drops the entry —
-the same idiom as the plan cache, extended with a byte cap because
-result sets, unlike plans, can be large.
-
-The read path is cache -> SQL: both in-process engines go through the
-one :func:`~repro.cache.result_cache.read_through` helper, so the key,
-the version gate, and the store-on-miss are written once.
+There are two tiers, one switch each, and each keys on a version that
+names a snapshot: ``RDFStore.enable_result_cache()`` on the store's own
+connection ``data_version``, and ``repro serve --result-cache`` on the
+durable ``rdf_serve_state$`` write-version vector.  A lookup under a
+newer version drops the entry — the same idiom as the plan cache,
+extended with a byte cap because result sets, unlike plans, can be
+large.  The in-process tier's one pass (key, version gate,
+store-on-miss) is :func:`~repro.cache.result_cache.read_through`.
 
 See docs/result_cache.md for the key schema, the coherence argument,
 and the batch wire protocol built on top.
 """
 
 from repro.cache.normalize import normalized_key
-from repro.cache.result_cache import (
-    ResultCache,
-    parse_cache_setting,
-    read_through,
-)
+from repro.cache.result_cache import ResultCache
 
-__all__ = ["ResultCache", "normalized_key", "parse_cache_setting",
-           "read_through"]
+__all__ = ["ResultCache", "normalized_key"]

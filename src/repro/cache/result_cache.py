@@ -7,12 +7,13 @@ counts an invalidation — the :class:`~repro.inference.plan.PlanCache`
 idiom, which keeps exactly one entry per query shape and makes
 invalidation exact without any write-path bookkeeping.
 
-Versions are opaque: the in-process tier keys on the connection's
+Versions are opaque, and each of the two tiers keys on one that names
+a snapshot: the in-process tier on its own connection's
 ``data_version`` int, the server tier on the durable
-``rdf_serve_state$`` write_version, and the sharded tier on the whole
-per-shard version *vector* (a tuple), so a write to any shard
-invalidates.  The cache never compares versions for order — only
-equality — which is what makes the vector form work unchanged.
+``rdf_serve_state$`` write-version *vector* (a tuple, one entry per
+file), so a write to any shard invalidates.  The cache never compares
+versions for order — only equality — which is what makes the vector
+form work unchanged.
 
 Memory is bounded in bytes, not entries, because one unselective query
 can return more rows than a thousand point lookups.  Stored values are
@@ -29,12 +30,6 @@ from typing import Any, Callable, Hashable, Iterator
 
 from repro.errors import QueryError
 
-_FALSE_WORDS = {"", "0", "off", "false", "no", "disabled", "none"}
-_TRUE_WORDS = {"1", "on", "true", "yes", "enabled"}
-_SUFFIXES = {"": 1, "b": 1, "k": 1024, "kb": 1024,
-             "m": 1024 ** 2, "mb": 1024 ** 2,
-             "g": 1024 ** 3, "gb": 1024 ** 3}
-
 #: Default byte cap: enough for ~64k cached point-lookup result sets,
 #: small enough to be invisible next to SQLite's own page cache.
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
@@ -42,39 +37,6 @@ DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 #: Flat per-object overhead charged by the size estimator for values
 #: it does not descend into (ints, floats, None, bools).
 _SCALAR_BYTES = 32
-
-
-def parse_cache_setting(value) -> tuple[bool, int | None]:
-    """``(enabled, max_bytes)`` from a ``--result-cache``-style setting.
-
-    Accepts booleans, ints (0/False disable, 1/True enable with the
-    default cap, larger ints are a byte cap), and strings: on/off
-    words or a byte cap like ``"67108864"``, ``"64mb"``, ``"512k"``.
-    A None cap means :data:`DEFAULT_MAX_BYTES`.
-    """
-    if value is None or value is False:
-        return False, None
-    if value is True:
-        return True, None
-    if isinstance(value, int):
-        if value <= 0:
-            return False, None
-        return True, None if value == 1 else value
-    text = str(value).strip().lower()
-    if text in _FALSE_WORDS:
-        return False, None
-    if text in _TRUE_WORDS:
-        return True, None
-    digits = text.rstrip("bgkm")
-    suffix = text[len(digits):]
-    if digits.isdigit() and suffix in _SUFFIXES:
-        cap = int(digits) * _SUFFIXES[suffix]
-        if cap <= 0:
-            return False, None
-        return True, None if cap == 1 else cap
-    raise QueryError(
-        f"bad result-cache setting {value!r}: expected an on/off word "
-        "or a byte cap such as '64mb'")
 
 
 def estimate_bytes(value: Any) -> int:
@@ -120,7 +82,7 @@ class ResultCache:
 
     One instance fronts one store (attached via
     ``store.attach_result_cache``) or one server (shared across the
-    pooled readers, keyed on the durable write_version).  Values are
+    pooled readers, keyed on the durable write-version vector).  Values are
     whatever the tier serves — MatchRow lists in process, pre-encoded
     JSON response bodies on the server — the cache never inspects
     them beyond sizing.
@@ -207,24 +169,6 @@ class ResultCache:
         del self._entries[key]
         self._bytes -= entry.nbytes
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry by key (the CLI ``cache drop`` surface)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            self._drop_locked(key, entry)
-            self.invalidations += 1
-            return True
-
-    def clear(self) -> int:
-        """Drop everything; returns the number of entries dropped."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._bytes = 0
-            return dropped
-
     def keys(self) -> Iterator[Hashable]:
         with self._lock:
             return iter(list(self._entries))
@@ -246,19 +190,22 @@ class ResultCache:
             }
 
 
-def read_through(cache: "ResultCache | None",
-                 current_version: Callable[[], Hashable],
+def read_through(cache: "ResultCache | None", version: Hashable,
                  key_args: tuple, compute: Callable[[], Any],
                  peek: bool = False) -> tuple[Any, bool, tuple | None]:
     """One version-gated pass of a match query through ``cache``.
 
-    The one place an in-process engine (single-file or sharded)
-    touches its result cache: normalized key -> lookup -> ``compute()``
-    -> store.  ``key_args`` are :func:`normalized_key`'s arguments,
-    ``current_version`` reads the engine's version (an int or a
-    per-shard tuple), ``compute`` produces the rows on a miss.
-    Returns ``(value, from_cache, key)``; with no cache attached that
-    is just ``(compute(), False, None)``.
+    The one place the in-process tier touches its result cache:
+    normalized key -> lookup -> ``compute()`` -> store.  ``key_args``
+    are :func:`normalized_key`'s arguments, ``version`` is the store's
+    ``data_version``, ``compute`` produces the rows on a miss.  Returns
+    ``(value, from_cache, key)``; with no cache attached that is just
+    ``(compute(), False, None)``.
+
+    The caller reads ``version`` BEFORE computing: a write racing the
+    miss path can only make the stored rows *newer* than their key (the
+    next lookup invalidates and recomputes) — never older, which would
+    be a stale serve.
 
     ``peek`` is the EXPLAIN form: ``compute()`` always runs, nothing is
     stored, and the flag reports whether a fresh entry *would* have
@@ -270,11 +217,6 @@ def read_through(cache: "ResultCache | None",
     # package imports the match path that imports this module.
     from repro.cache.normalize import normalized_key
     key = normalized_key(*key_args)
-    # The version is read BEFORE computing: a write racing the miss
-    # path can only make the stored rows *newer* than their key (the
-    # next lookup invalidates and recomputes) — never older, which
-    # would be a stale serve.
-    version = current_version()
     if peek:
         return compute(), cache.would_serve(key, version), key
     cached = cache.lookup(key, version)

@@ -11,7 +11,6 @@ Usage (``python -m repro <command> ...``)::
     repro reify         DB MODEL S P O          reify a triple
     repro is-reified    DB MODEL S P O          reification check
     repro models        DB                      list models
-    repro cache         DB status|warm|drop     versioned result cache
     repro stats         DB [MODEL] [--json]     store/network figures
     repro doctor        DB                      health check (integrity)
     repro serve         DB [--port P]           HTTP serving layer
@@ -160,27 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rules_index.add_argument("--json", action="store_true",
                              help="emit machine-readable output")
 
-    cache = commands.add_parser(
-        "cache", help="inspect, warm, or drop the versioned "
-        "query-result cache (see docs/result_cache.md); warm runs one "
-        "full-scan match per model through a fresh cache and reports "
-        "its footprint — the sizing tool for "
-        "--result-cache-max-bytes")
-    cache.add_argument("db")
-    cache.add_argument("action", choices=("status", "warm", "drop"),
-                       help="status: cache configuration and "
-                       "hit/miss/eviction counters; warm: cache one "
-                       "full-scan result per model (default: every "
-                       "model) and report bytes; drop: discard every "
-                       "entry")
-    cache.add_argument("model", nargs="?", default=None,
-                       help="model name (default: all models)")
-    cache.add_argument("--max-bytes", default=None, metavar="CAP",
-                       help="byte cap for this invocation, e.g. "
-                       "67108864, 64mb, 1g (LRU eviction past it)")
-    cache.add_argument("--json", action="store_true",
-                       help="emit machine-readable output")
-
     stats = commands.add_parser("stats", help="store/network figures")
     stats.add_argument("db")
     stats.add_argument("model", nargs="?")
@@ -248,11 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "write_version change; composes with --shards "
                        "(per-shard version vector; see "
                        "docs/result_cache.md)")
-    serve.add_argument("--result-cache-max-bytes", default=None,
-                       metavar="CAP",
-                       help="byte cap on resident cached results, "
-                       "e.g. 67108864, 64mb, 1g (LRU eviction past "
-                       "it; default 64mb)")
     serve.add_argument("--idempotency-capacity", type=int,
                        default=None, metavar="N",
                        help="Idempotency-Key ledger entries retained "
@@ -408,11 +381,6 @@ def _serve(args: argparse.Namespace, out) -> int:
         extra["slow_threshold"] = args.slow_threshold
     if args.idempotency_capacity is not None:
         extra["idempotency_capacity"] = args.idempotency_capacity
-    if args.result_cache_max_bytes is not None:
-        from repro.cache import parse_cache_setting
-
-        _, cap = parse_cache_setting(args.result_cache_max_bytes)
-        extra["result_cache_max_bytes"] = cap
     config = ServerConfig(
         path=args.db, host=args.host, port=args.port,
         workers=args.workers, backlog=args.backlog,
@@ -656,8 +624,6 @@ def _dispatch_store(args: argparse.Namespace, store: RDFStore,
         return 0
     if command == "rules-index":
         return _rules_index(args, store, out)
-    if command == "cache":
-        return _cache(args, store, out)
     if command == "trace":
         return _trace(args, store, out)
     if command == "stats":
@@ -734,55 +700,6 @@ def _rules_index(args: argparse.Namespace, store: RDFStore, out) -> int:
             print(f"{entry['index_name']}  {verb}", file=out)
         if not results:
             print("(no rules indexes)", file=out)
-    return 0
-
-
-def _cache(args: argparse.Namespace, store: RDFStore, out) -> int:
-    """``repro cache DB status|warm|drop [MODEL]``.
-
-    The result cache is process-local memory: ``warm`` here runs one
-    full-scan match per model through a fresh cache and reports what
-    those shapes cost resident (the sizing tool for
-    ``--result-cache-max-bytes``); a running server's live cache
-    counters are on its ``GET /stats``.
-    """
-    import json
-
-    from repro.cache import parse_cache_setting
-
-    max_bytes = None
-    if args.max_bytes is not None:
-        _, max_bytes = parse_cache_setting(args.max_bytes)
-    cache = store.result_cache
-    if cache is None:
-        cache = store.enable_result_cache(max_bytes=max_bytes)
-    elif max_bytes is not None:
-        cache.max_bytes = max_bytes
-    if args.action == "drop":
-        dropped = cache.clear()
-        print(json.dumps({"dropped": dropped}) if args.json
-              else f"dropped {dropped} cached result(s)", file=out)
-        return 0
-    names = ([args.model] if args.model
-             else [info.model_name for info in store.models])
-    if args.action == "warm":
-        for name in names:
-            sdo_rdf_match(store, "(?s ?p ?o)", [name])
-    status = cache.stats()
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True), file=out)
-        return 0
-    print(f"result cache: {status['entries']} entries, "
-          f"{status['bytes']} bytes resident "
-          f"({status['max_bytes']} bytes cap)", file=out)
-    print(f"  hits={status['hits']} misses={status['misses']} "
-          f"stores={status['stores']} evictions={status['evictions']} "
-          f"invalidations={status['invalidations']} "
-          f"rejects={status['rejects']} "
-          f"hit_rate={status['hit_rate']}", file=out)
-    if args.action == "warm":
-        print(f"  warmed {len(names)} model full-scan(s): "
-              f"{', '.join(sorted(names)) or '(no models)'}", file=out)
     return 0
 
 

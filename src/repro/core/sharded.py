@@ -62,16 +62,6 @@ _RDF_TYPE = RDF.type
 _RDF_STATEMENT = RDF.Statement
 
 
-def invalidate_session(store: RDFStore) -> None:
-    """The pool acquire-snoop hook of every pooled read session — a
-    shard's or the single-file server's: another connection committed
-    to this file, so the session's term *and* model caches are stale
-    (a model dropped by the writer, or by another process, must
-    disappear from pooled readers too)."""
-    store.values.invalidate_cache()
-    store.models.invalidate_cache()
-
-
 class _ShardReader:
     """A tiny read-side store stand-in for one shard.
 
@@ -149,7 +139,6 @@ class ShardedRDFStore(StorageEngine):
         self._writer_init = writer_init
         self._lock = threading.Lock()
         self._closed = False
-        self._result_cache = None
         self._pools: list[ConnectionPool | None] = [None] * shards
         self._executor = ThreadPoolExecutor(
             max_workers=max(2, 2 * shards),
@@ -214,7 +203,7 @@ class ShardedRDFStore(StorageEngine):
                         durability=self._durability,
                         timeout=self._pool_timeout,
                         wrap=lambda db: RDFStore(db, observe=False),
-                        invalidate=invalidate_session)
+                        invalidate=RDFStore.invalidate_caches)
                     self._pools[index] = pool
         return pool
 
@@ -255,19 +244,6 @@ class ShardedRDFStore(StorageEngine):
         """
         return sum(pool.in_use for pool in self._pools
                    if pool is not None)
-
-    def data_version_vector(self) -> list[int]:
-        """Per-shard data_version counters, as seen by the read pools.
-
-        Leasing snoops ``PRAGMA data_version``, so a commit on any
-        shard since the last read is reflected here — this vector is
-        what keys every per-shard plan/statistics/term cache.
-        """
-        vector = []
-        for index in self.router.all_shards():
-            with self.shard_session(index) as session:
-                vector.append(session.database.data_version)
-        return vector
 
     # ------------------------------------------------------------------
     # StorageEngine: model management
@@ -510,27 +486,6 @@ class ShardedRDFStore(StorageEngine):
     # querying
     # ------------------------------------------------------------------
 
-    @property
-    def result_cache(self):
-        """The attached :class:`~repro.cache.ResultCache`, or None.
-
-        Sharded entries key on the whole per-shard data-version
-        *vector* (a tuple), so a committed write on any shard
-        invalidates — the cache only ever compares versions for
-        equality, which makes the vector form work unchanged.
-        """
-        return self._result_cache
-
-    def enable_result_cache(self, max_bytes: int | None = None):
-        """Attach a fresh result cache over the scatter path."""
-        from repro.cache import ResultCache
-        self._result_cache = ResultCache(max_bytes=max_bytes)
-        return self._result_cache
-
-    def attach_result_cache(self, cache) -> None:
-        """Attach an existing cache, or None to detach."""
-        self._result_cache = cache
-
     def scatter_match(self, query: str, models: Sequence[str],
                       rulebases: Sequence[str] = (),
                       aliases=None, filter: str | None = None,
@@ -538,23 +493,14 @@ class ShardedRDFStore(StorageEngine):
                       limit: int | None = None,
                       explain: bool = False, optimize: bool = True):
         """Scatter-gather SDO_RDF_MATCH — ``sdo_rdf_match`` delegates
-        here for any store that defines this method."""
-        from repro.cache import read_through
+        here for any store that defines this method.  Uncached: pooled
+        connections' ``data_version`` counters name no snapshot a cache
+        could key on (the server tier keys on the durable vector)."""
         from repro.inference.scatter import scatter_match
-        # Keyed on the whole per-shard version vector: a committed
-        # write on any shard invalidates.
-        result, cached, _ = read_through(
-            self._result_cache if optimize else None,
-            lambda: tuple(self.data_version_vector()),
-            (query, models, rulebases, aliases, filter, order_by, limit),
-            lambda: scatter_match(
-                self, query, models, rulebases=rulebases,
-                aliases=aliases, filter=filter, order_by=order_by,
-                limit=limit, explain=explain, optimize=optimize),
-            peek=explain)
-        if explain and cached:
-            result.engine = "cache"
-        return result
+        return scatter_match(
+            self, query, models, rulebases=rulebases, aliases=aliases,
+            filter=filter, order_by=order_by, limit=limit,
+            explain=explain, optimize=optimize)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import os
 import threading
 from pathlib import Path
 from typing import Iterator
@@ -125,12 +124,6 @@ class RDFStore(StorageEngine):
         # construct the lazy rules-index manager.
         self._lazy_lock = threading.RLock()
         self._result_cache = None
-        cache_setting = os.environ.get("REPRO_RESULT_CACHE")
-        if cache_setting is not None:
-            from repro.cache import ResultCache, parse_cache_setting
-            enabled, max_bytes = parse_cache_setting(cache_setting)
-            if enabled:
-                self._result_cache = ResultCache(max_bytes=max_bytes)
         if not database.read_only:
             self.parser.set_delta_hook(self._on_base_delta)
 
@@ -213,7 +206,8 @@ class RDFStore(StorageEngine):
             self.run_rules_maintenance(targets, added, removed, model)
 
     # ------------------------------------------------------------------
-    # the query-result cache (see repro.cache, docs/result_cache.md)
+    # caches: the query-result cache (see repro.cache,
+    # docs/result_cache.md) and the flush after other connections' commits
     # ------------------------------------------------------------------
 
     @property
@@ -223,8 +217,8 @@ class RDFStore(StorageEngine):
         this via duck typing."""
         return self._result_cache
 
-    def enable_result_cache(self, max_bytes: int | None = None):
-        """Attach a fresh result cache; returns it.
+    def enable_result_cache(self):
+        """Attach a fresh result cache (default byte cap); returns it.
 
         The cache keys on this connection's ``data_version``, so it is
         coherent per store instance — pooled readers must share one
@@ -232,12 +226,21 @@ class RDFStore(StorageEngine):
         does; see :mod:`repro.server.app`).
         """
         from repro.cache import ResultCache
-        self._result_cache = ResultCache(max_bytes=max_bytes)
+        self._result_cache = ResultCache()
         return self._result_cache
 
     def attach_result_cache(self, cache) -> None:
         """Attach an existing cache, or None to detach."""
         self._result_cache = cache
+
+    def invalidate_caches(self) -> None:
+        """Flush the term and model caches after another connection
+        committed to this file (a term, or a model the writer dropped,
+        may be gone).  Caches keyed on ``data_version`` need no flush:
+        :meth:`~repro.db.connection.Database.poll_data_version` has
+        already bumped it."""
+        self.values.invalidate_cache()
+        self.models.invalidate_cache()
 
     def run_rules_maintenance(self, targets, added, removed,
                               model: "ModelInfo | None" = None) -> None:

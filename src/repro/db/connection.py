@@ -175,6 +175,10 @@ class Database:
         cursor = self._connection.cursor()
         for pragma in self._profile.pragmas(read_only=read_only):
             cursor.execute(pragma)
+        # Caches start empty at open, so the file as it is now is what
+        # poll_data_version() compares later commits against.
+        self._seen_data_version = cursor.execute(
+            "PRAGMA data_version").fetchone()[0]
         cursor.close()
         if observer is not None:
             self.set_observer(observer)
@@ -246,6 +250,30 @@ class Database:
     def bump_data_version(self) -> None:
         """Record a triple-visible data change (see :attr:`data_version`)."""
         self._data_version += 1
+
+    def poll_data_version(self) -> bool:
+        """Catch up with commits made through *other* connections.
+
+        SQLite's ``PRAGMA data_version`` moves when another connection
+        (a pooled writer, a second store, another process) commits to
+        the file.  When it has moved since the last poll, this bumps
+        :attr:`data_version` — every cache keyed on it goes stale — and
+        returns True so the caller can flush the caches that are not
+        keyed on it.  One PRAGMA on the raw connection: the pool polls
+        at every lease, ``sdo_rdf_match`` on every call.
+        """
+        try:
+            current = self._connection.execute(
+                "PRAGMA data_version").fetchone()[0]
+        except sqlite3.Error as exc:
+            self._require_open()
+            raise self._wrap_sql_error(
+                exc, "while polling PRAGMA data_version") from exc
+        if current == self._seen_data_version:
+            return False
+        self._seen_data_version = current
+        self._data_version += 1
+        return True
 
     def set_observer(self, observer: Observer) -> None:
         """Attach (or detach, with :data:`NULL_OBSERVER`) an observer.

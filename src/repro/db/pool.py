@@ -11,15 +11,14 @@ model onto two primitives kept here, next to the engine wrapper:
     safe because the pool hands a connection to exactly one thread at
     a time — and carries an optional *session* object (the server
     wraps each in an :class:`~repro.core.store.RDFStore`).  On every
-    acquire the pool snoops SQLite's ``PRAGMA data_version``: the
-    value changes when **another** connection commits, so a change
-    means the writer (or an external process) modified the file since
-    this connection last served a request.  The pool then bumps the
-    connection's Python-level
-    :attr:`~repro.db.connection.Database.data_version` counter —
-    invalidating the plan cache and planner statistics keyed on it —
-    and runs the caller's ``invalidate`` hook (the server flushes the
-    value-store term caches there).  An exhausted pool raises
+    acquire the pool polls the connection
+    (:meth:`~repro.db.connection.Database.poll_data_version`): when
+    the writer (or an external process) committed since this
+    connection last served a request, its Python-level
+    :attr:`~repro.db.connection.Database.data_version` counter is
+    bumped — invalidating the plan cache and planner statistics keyed
+    on it — and the caller's ``invalidate`` hook runs (the server
+    flushes the term and model caches there).  An exhausted pool raises
     :class:`~repro.errors.PoolTimeoutError`, which the HTTP layer
     maps to 429 backpressure.
 
@@ -68,14 +67,12 @@ from repro.obs.reqctx import Deadline, RequestTrace, current_trace
 
 @dataclass(eq=False)
 class PooledConnection:
-    """One pool slot: the connection plus its session and version mark."""
+    """One pool slot: the connection plus its session."""
 
     database: Database
     #: What ``wrap`` returned for this connection (the server puts an
     #: RDFStore here); the database itself when no wrap was given.
     session: Any
-    #: The last ``PRAGMA data_version`` value seen on this connection.
-    engine_version: int = -1
     #: Acquire count (introspection only).
     leases: int = 0
 
@@ -189,21 +186,13 @@ class ConnectionPool:
 
     def _snoop(self, entry: PooledConnection) -> bool:
         """Detect commits by other connections since the last lease."""
-        current = int(entry.database.query_value(
-            "PRAGMA data_version", default=0))
-        invalidated = False
-        if entry.engine_version != current:
-            if entry.engine_version != -1:
-                # A real change (not the first lease): every cache
-                # keyed on this connection's counter is now stale.
-                entry.database.bump_data_version()
-                if self._invalidate is not None:
-                    self._invalidate(entry.session)
-                with self._lock:
-                    self._stats["invalidations"] += 1
-                invalidated = True
-            entry.engine_version = current
-        return invalidated
+        if not entry.database.poll_data_version():
+            return False
+        if self._invalidate is not None:
+            self._invalidate(entry.session)
+        with self._lock:
+            self._stats["invalidations"] += 1
+        return True
 
     def acquire(self, timeout: float | None = None,
                 deadline: Deadline | None = None) -> PooledConnection:

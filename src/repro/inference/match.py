@@ -14,7 +14,8 @@ VALUE_IDs; lexical forms are resolved only for the final projection.
 
 One read path, six stages in a line:
 
-1. **validate** the arguments (models, limit);
+1. **validate** the arguments (models, limit), after polling the
+   connection for other connections' commits;
 2. **result-cache probe** — opt-in (:mod:`repro.cache`): a fresh entry
    for the normalized query shape answers without stages 3-6;
 3. **plan** — ``store.plan_cache`` keyed on the raw query shape, so a
@@ -224,6 +225,11 @@ def sdo_rdf_match(store: "RDFStore", query: str,
                        aliases=aliases, filter=filter,
                        order_by=order_by, limit=limit, explain=explain,
                        optimize=optimize)
+    # Another connection's commit (a second store on the file, another
+    # process) must reach this store's caches before anything probes
+    # them; pooled sessions were already polled at lease.
+    if store.database.poll_data_version():
+        store.invalidate_caches()
     check_arguments(models, limit)
     aliases = aliases or AliasSet()
     if order_by is not None:
@@ -241,8 +247,7 @@ def sdo_rdf_match(store: "RDFStore", query: str,
                        query=query) as span:
         result, cached, key = read_through(
             store.result_cache if optimize else None,
-            lambda: store.database.data_version, shape, compute,
-            peek=explain)
+            store.database.data_version, shape, compute, peek=explain)
         # ---- telemetry: once, whatever the outcome ----
         engine = "cache" if cached else "sql"
         rows = 0 if explain else len(result)

@@ -223,8 +223,7 @@ class RulesIndexManager:
             " inferred_count INTEGER NOT NULL DEFAULT 0,"
             " source_triple_count INTEGER NOT NULL DEFAULT 0,"
             " maintain TEXT NOT NULL DEFAULT 'manual',"
-            " built_versions TEXT,"
-            " built_data_version INTEGER)")
+            " built_versions TEXT)")
         self._migrate_catalog()
         self._db.execute(
             f"CREATE TABLE IF NOT EXISTS {quote_identifier(INFERRED_TABLE)} ("
@@ -250,8 +249,7 @@ class RulesIndexManager:
             f"PRAGMA table_info({quote_identifier(INDEX_CATALOG)})")}
         for column, definition in (
                 ("maintain", "TEXT NOT NULL DEFAULT 'manual'"),
-                ("built_versions", "TEXT"),
-                ("built_data_version", "INTEGER")):
+                ("built_versions", "TEXT")):
             if column not in existing:
                 self._db.execute(
                     f"ALTER TABLE {quote_identifier(INDEX_CATALOG)} "
@@ -292,10 +290,10 @@ class RulesIndexManager:
                 f"INSERT INTO {quote_identifier(INDEX_CATALOG)} "
                 "(index_name, model_names, rulebase_names,"
                 " inferred_count, source_triple_count, maintain,"
-                " built_versions, built_data_version)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                " built_versions)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (name, ",".join(models), ",".join(rulebases), count,
-                 source, maintain, token, self._db.data_version))
+                 source, maintain, token))
         self._states[name] = state
         self._store.invalidate_rules_maintenance()
         self._db.bump_data_version()
@@ -437,9 +435,8 @@ class RulesIndexManager:
                 self._db.execute(
                     f"UPDATE {quote_identifier(INDEX_CATALOG)} "
                     "SET inferred_count = ?, source_triple_count = ?, "
-                    "built_versions = ?, built_data_version = ? "
-                    "WHERE index_name = ?",
-                    (count, source, token, self._db.data_version, name))
+                    "built_versions = ? WHERE index_name = ?",
+                    (count, source, token, name))
             self._states[name] = state
         self._db.bump_data_version()
         return self.get(index_name)
@@ -703,10 +700,9 @@ class RulesIndexManager:
         self._db.execute(
             f"UPDATE {quote_identifier(INDEX_CATALOG)} "
             "SET inferred_count = ?, source_triple_count = ?, "
-            "built_versions = ?, built_data_version = ? "
-            "WHERE index_name = ?",
+            "built_versions = ? WHERE index_name = ?",
             (len(inferred), self._source_count(index.model_names),
-             token, self._db.data_version, index.index_name))
+             token, index.index_name))
         state.token = token
         return DeltaStats(
             index_name=index.index_name,

@@ -223,10 +223,8 @@ def _pattern_bindings(session: "RDFStore", pattern: TriplePattern,
 
     Ground patterns return a bare existence bool.  Plans are cached in
     the *shard's* plan cache keyed on the shard's own ``data_version``
-    (the pool's acquire-time snoop bumps it when the shard's writer —
-    or anyone else — commits), so each shard invalidates independently:
-    that per-shard version vector is the cache key of the whole
-    scattered query.
+    (the pool's acquire-time poll bumps it when the shard's writer —
+    or anyone else — commits), so each shard invalidates independently.
     """
     key = ("scatter", str(pattern), tuple(models), optimize)
     plan = None

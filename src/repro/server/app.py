@@ -115,7 +115,7 @@ from typing import IO, Any, Callable, Iterator, NamedTuple
 
 from repro.cache import ResultCache, normalized_key
 from repro.cache.result_cache import estimate_bytes
-from repro.core.sharded import ShardedRDFStore, invalidate_session
+from repro.core.sharded import ShardedRDFStore
 from repro.core.store import RDFStore
 from repro.db.connection import Database
 from repro.db.faults import (
@@ -272,8 +272,6 @@ class ServerConfig:
         responses, keyed on the normalized query shape and the durable
         write-version vector — a repeated hot read skips parsing,
         planning, and SQL entirely.  See ``docs/result_cache.md``.
-    :param result_cache_max_bytes: byte cap on cached result sets
-        (LRU eviction); ``None`` means the cache's default (64 MiB).
     :param batch_limit: maximum sub-queries accepted by one
         ``POST /match/batch`` body.
     """
@@ -306,7 +304,6 @@ class ServerConfig:
     degraded_pool_fraction: float = 1.0
     shards: int = 1
     result_cache: bool = False
-    result_cache_max_bytes: int | None = None
     batch_limit: int = 100
 
     def __post_init__(self) -> None:
@@ -333,9 +330,6 @@ class ServerConfig:
             raise StorageError("shed_priority_below must be in 0..10")
         if self.shards < 1:
             raise StorageError("server needs shards >= 1")
-        if (self.result_cache_max_bytes is not None
-                and self.result_cache_max_bytes <= 0):
-            raise StorageError("result_cache_max_bytes must be positive")
         if self.batch_limit < 1:
             raise StorageError("batch_limit must be >= 1")
 
@@ -378,10 +372,7 @@ class ReproServer:
         # local data_version counters, which are not comparable across
         # connections).  Survives stop()/start() cycles by design —
         # version keys are durable, so reuse is safe.
-        self.result_cache: ResultCache | None = None
-        if config.result_cache:
-            self.result_cache = ResultCache(
-                max_bytes=config.result_cache_max_bytes)
+        self.result_cache = ResultCache() if config.result_cache else None
         self._http: _HTTPServer | None = None
         self._serve_thread: threading.Thread | None = None
         self._gate = threading.BoundedSemaphore(
@@ -461,7 +452,7 @@ class ReproServer:
                 timeout=config.pool_timeout,
                 observer=self.observer,
                 wrap=lambda db: RDFStore(db, observe=False),
-                invalidate=invalidate_session,
+                invalidate=RDFStore.invalidate_caches,
                 faults=config.faults)
             self._units = [_Unit(pool, writer)]
         self._http = _HTTPServer(
@@ -898,7 +889,7 @@ class ReproServer:
         return outcomes
 
     def _do_stats(self) -> tuple[int, dict]:
-        self._sample_saturation()
+        self._sample_gauges()
         units = self._units
         # Lease before reading the gauges: the lease snoops
         # ``data_version``, so each row's pool counters are live and
@@ -1195,16 +1186,6 @@ class ReproServer:
         single hot partition is visible even when the aggregate looks
         healthy.
         """
-        result_cache = self.result_cache
-        if result_cache is not None:
-            status = result_cache.stats()
-            for name in ("entries", "bytes", "hits", "misses",
-                         "stores", "evictions", "invalidations",
-                         "rejects"):
-                self.metrics.gauge(
-                    f"result_cache.{name}",
-                    f"result-cache {name} since start").set(
-                        status[name])
         for index, unit in enumerate(self._units):
             self.metrics.gauge(
                 f"shard{index}.queue_depth",
@@ -1218,6 +1199,21 @@ class ReproServer:
             "pool.in_use",
             "read connections out on lease "
             "(all shards)").set(self._pool_in_use())
+
+    def _sample_gauges(self) -> None:
+        """Refresh every gauge for ``/metrics`` and ``/stats``: the
+        saturation gauges, plus the result-cache counters — read under
+        the cache lock, so only when a gauge is about to be read, never
+        per admission."""
+        self._sample_saturation()
+        if self.result_cache is None:
+            return
+        status = self.result_cache.stats()
+        for name in ("entries", "bytes", "hits", "misses", "stores",
+                     "evictions", "invalidations", "rejects"):
+            self.metrics.gauge(
+                f"result_cache.{name}",
+                f"result-cache {name} since start").set(status[name])
 
     # ------------------------------------------------------------------
     # request lifecycle (called from the handler threads)
@@ -1529,7 +1525,7 @@ class _Handler(BaseHTTPRequestHandler):
                 400, {"error": self._deadline_error,
                       "type": "BadDeadline"})
         if path == "/metrics":
-            app._sample_saturation()
+            app._sample_gauges()
             self._finalize(200)
             data = app.metrics.prometheus_text().encode("utf-8")
             self.send_response(200)

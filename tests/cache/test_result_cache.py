@@ -1,5 +1,5 @@
 """Unit tests for the byte-capped, version-keyed LRU result cache,
-plus its in-process integration with RDFStore / ShardedRDFStore."""
+plus its in-process integration with RDFStore."""
 
 from __future__ import annotations
 
@@ -7,44 +7,13 @@ import threading
 
 import pytest
 
-from repro.cache import ResultCache, parse_cache_setting
+from repro.cache import ResultCache
 from repro.cache.result_cache import (
     DEFAULT_MAX_BYTES,
     estimate_bytes,
 )
-from repro.core.store import RDFStore
 from repro.errors import QueryError
 from repro.inference.match import sdo_rdf_match
-
-
-class TestParseCacheSetting:
-    @pytest.mark.parametrize("value", [None, False, 0, "", "off",
-                                       "false", "no", "disabled", "0"])
-    def test_disabled_words(self, value):
-        assert parse_cache_setting(value) == (False, None)
-
-    @pytest.mark.parametrize("value", [True, 1, "1", "on", "true",
-                                       "yes", "enabled"])
-    def test_enabled_default_cap(self, value):
-        assert parse_cache_setting(value) == (True, None)
-
-    @pytest.mark.parametrize("value,cap", [
-        (67108864, 67108864),
-        ("67108864", 67108864),
-        ("64mb", 64 * 1024 * 1024),
-        ("64m", 64 * 1024 * 1024),
-        ("512k", 512 * 1024),
-        ("512kb", 512 * 1024),
-        ("1g", 1024 ** 3),
-        ("2b", 2),
-    ])
-    def test_byte_caps(self, value, cap):
-        assert parse_cache_setting(value) == (True, cap)
-
-    @pytest.mark.parametrize("value", ["64xb", "lots", "-5", "1.5mb"])
-    def test_garbage_raises(self, value):
-        with pytest.raises(QueryError):
-            parse_cache_setting(value)
 
 
 class TestEstimateBytes:
@@ -132,15 +101,6 @@ class TestResultCache:
         assert cache.current_bytes == 300
         assert len(cache) == 1
 
-    def test_invalidate_and_clear(self):
-        cache = ResultCache()
-        cache.store("a", 1, "x")
-        cache.store("b", 1, "y")
-        assert cache.invalidate("a") is True
-        assert cache.invalidate("a") is False
-        assert cache.clear() == 1
-        assert cache.current_bytes == 0
-
     def test_thread_safety_smoke(self):
         cache = ResultCache(max_bytes=10_000)
         errors = []
@@ -152,8 +112,6 @@ class TestResultCache:
                     cache.store(key, index % 3, [seed, index],
                                 nbytes=50)
                     cache.lookup(key, index % 3)
-                    if index % 50 == 0:
-                        cache.clear()
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -232,43 +190,3 @@ class TestStoreIntegration:
         store.attach_result_cache(None)
         assert store.result_cache is None
         sdo_rdf_match(store, "(?s <urn:p> ?o)", ["m"])  # no crash
-
-    def test_env_opt_in(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "1mb")
-        with RDFStore(str(tmp_path / "env.db")) as env_store:
-            assert env_store.result_cache is not None
-            assert env_store.result_cache.max_bytes == 1024 ** 2
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "off")
-        with RDFStore(str(tmp_path / "env2.db")) as env_store:
-            assert env_store.result_cache is None
-
-
-class TestShardedIntegration:
-    def test_hit_and_vector_invalidation(self, tmp_path):
-        from repro.core.sharded import ShardedRDFStore
-
-        with ShardedRDFStore(str(tmp_path / "s.db"), shards=2) as store:
-            _seed(store, n=4)
-            cache = store.enable_result_cache()
-            first = store.scatter_match("(?s <urn:p> ?o)", ["m"])
-            again = store.scatter_match("(?s <urn:p> ?o)", ["m"])
-            assert [r.as_dict() for r in first] \
-                == [r.as_dict() for r in again]
-            assert cache.stats()["hits"] == 1
-            # A write to ANY shard moves the vector: invalidate.
-            store.insert_triple("m", "<urn:s9>", "<urn:p>", "<urn:o9>")
-            rows = store.scatter_match("(?s <urn:p> ?o)", ["m"])
-            assert len(rows) == 5
-            assert cache.stats()["invalidations"] == 1
-
-    def test_explain_engine_cache_on_anchored_query(self, tmp_path):
-        from repro.core.sharded import ShardedRDFStore
-
-        with ShardedRDFStore(str(tmp_path / "s.db"), shards=2) as store:
-            _seed(store, n=2)
-            store.enable_result_cache()
-            query = "(<urn:s0> <urn:p> ?o)"
-            store.scatter_match(query, ["m"])
-            explanation = store.scatter_match(query, ["m"],
-                                              explain=True)
-            assert explanation.engine == "cache"

@@ -306,10 +306,3 @@ class TestLifecycle:
         store.close()
         store.close()
         assert store.closed
-
-    def test_data_version_vector_tracks_commits(self, sharded):
-        before = sharded.data_version_vector()
-        assert len(before) == 3
-        _fill(sharded, 6)
-        after = sharded.data_version_vector()
-        assert after != before

@@ -1,10 +1,12 @@
 """The one read path of ``sdo_rdf_match``: the pieces written once.
 
-Validation, the version-gated result-cache pass and the telemetry block
-each exist once and serve both engines (single-file SQL and sharded
-scatter-gather), so one parametrised suite pins that the engines agree
-— same rows, same error text, same EXPLAIN verdict — and that every
-outcome of a query is counted exactly once.
+Validation and the telemetry block each exist once and serve both
+engines (single-file SQL and sharded scatter-gather), so one
+parametrised suite pins that the engines agree — same rows, same error
+text, same EXPLAIN verdict — and that every outcome of a query is
+counted exactly once.  The version-gated result-cache pass is the
+single-file store's alone, and so is the entry poll that lets it (and
+the plan cache) see a second connection's commits.
 """
 
 import pytest
@@ -60,10 +62,11 @@ def _error(store, query, models, kwargs) -> str:
     return str(info.value)
 
 
-@pytest.mark.parametrize("cache", [False, True],
-                         ids=["cache-off", "cache-on"])
-@pytest.mark.parametrize("shards", [1, 2],
-                         ids=["single-file", "2-shard"])
+@pytest.mark.parametrize("shards,cache", [
+    pytest.param(1, False, id="single-file-cache-off"),
+    pytest.param(1, True, id="single-file-cache-on"),
+    pytest.param(2, False, id="2-shard-cache-off"),
+])
 def test_engines_agree(tmp_path, shards, cache):
     with _open(tmp_path, "ref", 1, False) as reference, \
             _open(tmp_path, "eng", shards, cache) as engine:
@@ -117,3 +120,25 @@ def test_every_outcome_is_counted_once(cache):
         if cache:
             counters = store.observer.metrics.as_dict()["counters"]
             assert counters["match.result_cache_hits"] == 1
+
+
+@pytest.mark.parametrize("cache", [False, True],
+                         ids=["plan-cache", "result-cache"])
+def test_second_store_commit_is_seen(tmp_path, cache):
+    """Two stores on one file: B's commit reaches A's next match, whose
+    plan (an unknown constant short-circuits to "impossible") or cached
+    rows were computed before it."""
+    path = str(tmp_path / "two.db")
+    query = "(<urn:new> ?p ?o)"
+    with RDFStore(path, durability="durable") as a, \
+            RDFStore(path, durability="durable") as b:
+        a.create_model(MODEL)
+        if cache:
+            a.enable_result_cache()
+        assert sdo_rdf_match(a, query, [MODEL]) == []
+        b.insert_triple(MODEL, "<urn:new>", "<urn:p>", "<urn:o1>")
+        rows = sdo_rdf_match(a, query, [MODEL])
+        assert [row.as_dict() for row in rows] == \
+            [{"p": "urn:p", "o": "urn:o1"}]
+        if cache:
+            assert a.result_cache.stats()["invalidations"] == 1

@@ -8,14 +8,10 @@ the cache, once with the cache detached (raw SQL) — and the row sets
 must agree exactly.  A single divergence is a coherence bug: the
 version-keyed invalidation failed to notice a write.
 
-The same harness runs over both engine configurations:
-
-* single-file in-memory stores (the bulk of the trials — cheap),
-* sharded file-backed stores (the key carries the whole per-shard
-  version vector; a write to any one shard must invalidate).
-
-Across the default seeds this exceeds 200 randomized interleavings —
-the acceptance bar for the serving-gap issue.
+The trials run on single-file in-memory stores, the in-process tier's
+only home (the server tier's coherence is pinned over HTTP in
+``tests/server/test_cache_serve.py``).  Across the default seeds this
+exceeds 200 randomized interleavings, the suite's acceptance bar.
 """
 
 from __future__ import annotations
@@ -25,12 +21,13 @@ import random
 import pytest
 
 from repro.core.bulkload import bulk_load_ntriples
-from repro.core.sharded import ShardedRDFStore
 from repro.core.store import RDFStore
 from repro.inference.match import sdo_rdf_match
-from repro.rdf.triple import Triple
 
 MODEL = "coh"
+
+#: Seeded trials, one interleaving each.
+TRIALS = 210
 
 #: Small closed universes so deletes and duplicate inserts hit.
 _SUBJECTS = [f"<urn:s{i}>" for i in range(6)]
@@ -67,15 +64,11 @@ def _apply_write(store, rng: random.Random, tmp_path, step: int) -> str:
         # A bulk load through the real staged loader.
         batch = [_random_triple(rng)
                  for _ in range(rng.randrange(2, 6))]
-        if isinstance(store, ShardedRDFStore):
-            store.bulk_load(MODEL, [Triple.from_text(*t)
-                                    for t in batch])
-        else:
-            path = tmp_path / f"bulk{step}.nt"
-            path.write_text(
-                "".join(f"{s} {p} {o} .\n" for s, p, o in batch),
-                encoding="utf-8")
-            bulk_load_ntriples(store, MODEL, str(path))
+        path = tmp_path / f"bulk{step}.nt"
+        path.write_text(
+            "".join(f"{s} {p} {o} .\n" for s, p, o in batch),
+            encoding="utf-8")
+        bulk_load_ntriples(store, MODEL, str(path))
         return f"bulk_load x{len(batch)}"
     # Drop the whole model and recreate it empty — the heaviest
     # invalidation case (every cached row for it is now wrong).
@@ -89,7 +82,7 @@ def _rows(result) -> list[tuple]:
                   for row in result)
 
 
-def _check_coherence(store, run_query, context: str) -> int:
+def _check_coherence(store, context: str) -> int:
     """Every query shape: cached answer == cache-detached answer.
 
     Each shape runs through the cache twice — the first call fills or
@@ -99,13 +92,14 @@ def _check_coherence(store, run_query, context: str) -> int:
     cache = store.result_cache
     hits = 0
     for query, kwargs in QUERY_SHAPES:
-        filled_rows = _rows(run_query(query, **kwargs))
+        filled_rows = _rows(sdo_rdf_match(store, query, [MODEL], **kwargs))
         before = cache.hits
-        cached_rows = _rows(run_query(query, **kwargs))
+        cached_rows = _rows(sdo_rdf_match(store, query, [MODEL], **kwargs))
         hits += cache.hits - before
         store.attach_result_cache(None)
         try:
-            raw_rows = _rows(run_query(query, **kwargs))
+            raw_rows = _rows(sdo_rdf_match(store, query, [MODEL],
+                                           **kwargs))
         finally:
             store.attach_result_cache(cache)
         assert filled_rows == cached_rows == raw_rows, (
@@ -115,54 +109,23 @@ def _check_coherence(store, run_query, context: str) -> int:
     return hits
 
 
-def _run_trial(store, run_query, rng: random.Random, tmp_path,
-               ops: int = 6) -> int:
-    store.create_model(MODEL)
-    for _ in range(rng.randrange(2, 6)):
-        s, p, o = _random_triple(rng)
-        store.insert_triple(MODEL, s, p, o)
-    hits = _check_coherence(store, run_query, "seeding")
-    for step in range(ops):
-        label = _apply_write(store, rng, tmp_path, step)
-        hits += _check_coherence(store, run_query,
-                                 f"step {step} ({label})")
-    return hits
-
-
-# ----------------------------------------------------------------------
-# the two engine configurations
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("seed", range(180))
+@pytest.mark.parametrize("seed", range(TRIALS))
 def test_single_file_coherence(seed, tmp_path):
     rng = random.Random(10_000 + seed)
     with RDFStore() as store:
         store.enable_result_cache()
-
-        def run_query(query, **kwargs):
-            return sdo_rdf_match(store, query, [MODEL], **kwargs)
-
-        hits = _run_trial(store, run_query, rng, tmp_path)
+        store.create_model(MODEL)
+        for _ in range(rng.randrange(2, 6)):
+            store.insert_triple(MODEL, *_random_triple(rng))
+        hits = _check_coherence(store, "seeding")
+        for step in range(6):
+            label = _apply_write(store, rng, tmp_path, step)
+            hits += _check_coherence(store, f"step {step} ({label})")
         # The trial must actually exercise the cache, not just miss.
         assert hits > 0
         assert store.result_cache.stats()["invalidations"] > 0
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_sharded_coherence(seed, tmp_path):
-    """Vector-keyed coherence: any shard's write must invalidate."""
-    rng = random.Random(30_000 + seed)
-    with ShardedRDFStore(str(tmp_path / "coh.db"),
-                         shards=2) as store:
-        store.enable_result_cache()
-
-        def run_query(query, **kwargs):
-            return store.scatter_match(query, [MODEL], **kwargs)
-
-        hits = _run_trial(store, run_query, rng, tmp_path, ops=4)
-        assert hits > 0
-
-
 def test_suite_exceeds_two_hundred_interleavings():
-    """The acceptance bar: 180 + 30 seeded trials >= 200."""
-    assert 180 + 30 >= 200
+    """The acceptance bar: the seeded trials number at least 200."""
+    assert TRIALS >= 200
