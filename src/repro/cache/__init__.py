@@ -10,7 +10,7 @@ rows were computed under, so a repeated hot read is a dict probe.
 There are two tiers, one switch each, and each keys on a version that
 names a snapshot: ``RDFStore.enable_result_cache()`` on the store's own
 connection ``data_version``, and ``repro serve --result-cache`` on the
-durable ``rdf_serve_state$`` write-version vector.  A lookup under a
+durable ``rdf_serve_state$`` ``write_version``.  A lookup under a
 newer version drops the entry — the same idiom as the plan cache,
 extended with a byte cap because result sets, unlike plans, can be
 large.  The in-process tier's one pass (key, version gate,

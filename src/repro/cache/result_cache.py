@@ -10,10 +10,8 @@ invalidation exact without any write-path bookkeeping.
 Versions are opaque, and each of the two tiers keys on one that names
 a snapshot: the in-process tier on its own connection's
 ``data_version`` int, the server tier on the durable
-``rdf_serve_state$`` write-version *vector* (a tuple, one entry per
-file), so a write to any shard invalidates.  The cache never compares
-versions for order — only equality — which is what makes the vector
-form work unchanged.
+``rdf_serve_state$`` ``write_version`` int.  The cache never compares
+versions for order — only equality.
 
 Memory is bounded in bytes, not entries, because one unselective query
 can return more rows than a thousand point lookups.  Stored values are
@@ -82,7 +80,7 @@ class ResultCache:
 
     One instance fronts one store (attached via
     ``store.attach_result_cache``) or one server (shared across the
-    pooled readers, keyed on the durable write-version vector).  Values are
+    pooled readers, keyed on the durable ``write_version``).  Values are
     whatever the tier serves — MatchRow lists in process, pre-encoded
     JSON response bodies on the server — the cache never inspects
     them beyond sizing.

@@ -34,6 +34,7 @@ flag.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -175,9 +176,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     doctor = commands.add_parser(
         "doctor", help="full health check: PRAGMA integrity_check, "
-        "foreign_key_check, and the central-schema integrity sweeps; "
-        "a sharded layout (DB.shard0..N-1) is auto-discovered and "
-        "every shard swept")
+        "foreign_key_check, and the central-schema integrity sweeps "
+        "of an existing store (a missing DB is an error, never "
+        "created)")
     doctor.add_argument("db")
 
     path = commands.add_parser(
@@ -212,19 +213,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="extra requests admitted beyond --workers "
                        "before 429 (default 8)")
     serve.add_argument("--writer-queue", type=int, default=64,
-                       help="bound on queued write jobs (default 64; "
-                       "per shard with --shards)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="partition rdf_link$ across N shard files "
-                       "(DB.shard0..N-1) with one writer queue and "
-                       "one read pool per shard; 1 keeps the "
-                       "single-file engine (see docs/sharding.md)")
+                       help="bound on queued write jobs (default 64)")
     serve.add_argument("--result-cache", action="store_true",
                        help="answer repeated /match bodies from a "
                        "versioned in-memory result cache shared by "
                        "the read pool, invalidated exactly on "
-                       "write_version change; composes with --shards "
-                       "(per-shard version vector; see "
+                       "write_version change (see "
                        "docs/result_cache.md)")
     serve.add_argument("--idempotency-capacity", type=int,
                        default=None, metavar="N",
@@ -351,14 +345,10 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         return _slowlog(args, out)
     if args.command == "chaos":
         return _chaos(args, out)
-    if args.command == "doctor":
-        from repro.db.shard import ShardRouter
-
-        # Sweep a sharded layout before the generic store open below
-        # would create an empty base file next to the shard files.
-        shard_files = ShardRouter.discover(args.db)
-        if shard_files:
-            return _doctor_sharded(args, shard_files, out)
+    if args.command == "doctor" and not os.path.isfile(args.db):
+        # The store open below would create the file it was asked to
+        # check, and then report it clean.
+        raise ReproError(f"no database file at {args.db}")
     # The trace command is only useful observed; --observe opts other
     # commands in, None defers to REPRO_OBSERVE.
     observe = True if (args.observe or args.command == "trace") else None
@@ -386,13 +376,11 @@ def _serve(args: argparse.Namespace, out) -> int:
         workers=args.workers, backlog=args.backlog,
         writer_queue=args.writer_queue, durability=durability,
         observe=bool(args.observe), access_log=bool(args.access_log),
-        shards=args.shards,
         result_cache=bool(args.result_cache), **extra)
     server = ReproServer(config)
     server.start()
     host, port = server.address
-    engine = (f"{config.shards} shards" if config.shards > 1
-              else "single file")
+    engine = "single file"
     if config.result_cache:
         engine += " + result cache"
     print(f"serving {args.db} on http://{host}:{port} "
@@ -730,46 +718,6 @@ def _doctor(store: RDFStore, out) -> int:
           f"{db.row_count('rdf_link$')} triples all clean "
           f"(durability={db.durability})", file=out)
     return 0
-
-
-def _doctor_sharded(args: argparse.Namespace, shard_files,
-                    out) -> int:
-    """Sweep every shard file of a sharded layout; exit 3 on problems.
-
-    Each shard gets the full single-file doctor (engine integrity,
-    foreign keys, central-schema sweeps) plus the layout check: its
-    recorded ``rdf_shard$`` identity must agree with the files on
-    disk — a missing sibling, a copied-in stray, or a renamed file all
-    surface here instead of silently mis-routing.
-    """
-    from repro.db.shard import read_shard_meta
-
-    # Ephemeral (the CLI default) would rewrite journal_mode away from
-    # WAL; a doctor must not alter the layout it examines.
-    durability = args.durability or "durable"
-    expected = len(shard_files)
-    worst = 0
-    for position, path in enumerate(shard_files):
-        print(f"--- {path} ---", file=out)
-        with RDFStore(str(path), durability=durability) as store:
-            meta = read_shard_meta(store.database)
-            if meta is None:
-                print(f"[shard-meta] no rdf_shard$ identity row",
-                      file=out)
-                worst = max(worst, 3)
-            else:
-                index, count = meta
-                if index != position or count != expected:
-                    print(f"[shard-meta] recorded shard {index} of "
-                          f"{count}, but this is file {position} of "
-                          f"{expected} found on disk", file=out)
-                    worst = max(worst, 3)
-            worst = max(worst, _doctor(store, out))
-    if worst == 0:
-        print(f"ok: all {expected} shards clean", file=out)
-    else:
-        print(f"({expected} shards swept, problems found)", file=out)
-    return worst
 
 
 def _path(args: argparse.Namespace, store: RDFStore, out) -> int:

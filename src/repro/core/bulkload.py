@@ -221,9 +221,7 @@ class BulkLoader:
         # and objects heavily, and this loop is the load's dominant
         # Python cost (decompose + classify per component).  Bounded —
         # a pathological all-distinct input cannot grow them without
-        # limit.  Keeping the loop lean matters twice on the sharded
-        # engine: the staging loop holds the GIL, so it is the part of
-        # a per-shard load that cannot overlap with its siblings.
+        # limit.
         dec_cache: dict = {}
         canon_cache: dict = {}
         type_cache: dict = {}
@@ -320,36 +318,14 @@ class BulkLoader:
             f'JOIN "{VALUE_TABLE}" pv ON {self._value_join("p", "pv")} '
             f'JOIN "{VALUE_TABLE}" ov ON {self._value_join("o", "ov")} '
             f'JOIN "{VALUE_TABLE}" cv ON {self._value_join("c", "cv")}')
-        id_range = self._store.links.id_range
-        if id_range is None:
-            # Single-file store: SQLite's implicit rowid allocation.
-            self._db.execute(
-                f'INSERT OR IGNORE INTO "{LINK_TABLE}" '
-                "(start_node_id, p_value_id, end_node_id,"
-                " canon_end_node_id, link_type, cost, context,"
-                " reif_link, model_id) "
-                "SELECT s_id, p_id, o_id, c_id, link_type, 0, 'D', "
-                f"reif_link, ? FROM ({distinct_links})",
-                (self._model.model_id,))
-        else:
-            # Sharded store: explicit LINK_IDs numbered upward from
-            # the shard's stride floor.  Duplicate triples still hit
-            # the natural-key unique index and are ignored, leaving
-            # gaps in the numbering — harmless, the stride only has
-            # to stay globally unique and shard-identifying.
-            low, high = id_range
-            self._db.execute(
-                f'INSERT OR IGNORE INTO "{LINK_TABLE}" '
-                "(link_id, start_node_id, p_value_id, end_node_id,"
-                " canon_end_node_id, link_type, cost, context,"
-                " reif_link, model_id) "
-                "SELECT (SELECT IFNULL(MAX(link_id), ? - 1) "
-                f'FROM "{LINK_TABLE}" '
-                "WHERE link_id >= ? AND link_id < ?)"
-                " + ROW_NUMBER() OVER (), "
-                "s_id, p_id, o_id, c_id, link_type, 0, 'D', "
-                f"reif_link, ? FROM ({distinct_links})",
-                (low, low, high, self._model.model_id))
+        self._db.execute(
+            f'INSERT OR IGNORE INTO "{LINK_TABLE}" '
+            "(start_node_id, p_value_id, end_node_id,"
+            " canon_end_node_id, link_type, cost, context,"
+            " reif_link, model_id) "
+            "SELECT s_id, p_id, o_id, c_id, link_type, 0, 'D', "
+            f"reif_link, ? FROM ({distinct_links})",
+            (self._model.model_id,))
         return self._db.row_count(LINK_TABLE) - before
 
     def _fix_reif_flags(self) -> None:

@@ -99,31 +99,6 @@ class LinkStore:
 
     def __init__(self, database: "Database") -> None:
         self._db = database
-        self._id_range: tuple[int, int] | None = None
-
-    def set_link_id_range(self, low: int, high: int) -> None:
-        """Confine new LINK_IDs to the half-open range ``[low, high)``.
-
-        The sharded engine gives each shard its own stride of the
-        LINK_ID line (see :mod:`repro.db.shard`), so a LINK_ID is
-        globally unique and identifies its shard — which keeps
-        reification DBUris resolvable on a partitioned store.  The
-        default (no range) preserves the single-file behaviour:
-        SQLite's implicit rowid allocation.
-        """
-        if not 0 <= low < high:
-            raise ValueError(f"bad link id range [{low}, {high})")
-        self._id_range = (low, high)
-
-    @property
-    def id_range(self) -> tuple[int, int] | None:
-        """The confined LINK_ID range, or None (single-file store).
-
-        Bulk-path writers (:mod:`repro.core.bulkload`) must consult
-        this: a set-wise INSERT without explicit LINK_IDs would let
-        SQLite allocate global rowids outside the shard's stride.
-        """
-        return self._id_range
 
     # ------------------------------------------------------------------
     # lookups
@@ -219,34 +194,15 @@ class LinkStore:
                link_type: LinkType, context: Context,
                reif_link: bool) -> LinkRow:
         """Insert a new link row with COST=1 and return it."""
-        if self._id_range is None:
-            cursor = self._db.execute(
-                f'INSERT INTO "{LINK_TABLE}" '
-                "(start_node_id, p_value_id, end_node_id,"
-                " canon_end_node_id, link_type, cost, context,"
-                " reif_link, model_id)"
-                " VALUES (?, ?, ?, ?, ?, 1, ?, ?, ?)",
-                (start_node_id, p_value_id, end_node_id,
-                 canon_end_node_id, link_type.value, context.value,
-                 "Y" if reif_link else "N", model_id))
-        else:
-            # Explicit max+1 allocation inside the shard's stride.
-            # Safe without locking: each shard has exactly one writer
-            # (the shard's WriterQueue serialises every insert).
-            low, high = self._id_range
-            cursor = self._db.execute(
-                f'INSERT INTO "{LINK_TABLE}" '
-                "(link_id, start_node_id, p_value_id, end_node_id,"
-                " canon_end_node_id, link_type, cost, context,"
-                " reif_link, model_id)"
-                " VALUES ((SELECT IFNULL(MAX(link_id) + 1, ?) "
-                f'FROM "{LINK_TABLE}" '
-                "WHERE link_id >= ? AND link_id < ?),"
-                " ?, ?, ?, ?, ?, 1, ?, ?, ?)",
-                (low, low, high,
-                 start_node_id, p_value_id, end_node_id,
-                 canon_end_node_id, link_type.value, context.value,
-                 "Y" if reif_link else "N", model_id))
+        cursor = self._db.execute(
+            f'INSERT INTO "{LINK_TABLE}" '
+            "(start_node_id, p_value_id, end_node_id,"
+            " canon_end_node_id, link_type, cost, context,"
+            " reif_link, model_id)"
+            " VALUES (?, ?, ?, ?, ?, 1, ?, ?, ?)",
+            (start_node_id, p_value_id, end_node_id,
+             canon_end_node_id, link_type.value, context.value,
+             "Y" if reif_link else "N", model_id))
         self.bump_model_version(model_id)
         self._db.bump_data_version()
         return self.get(int(cursor.lastrowid))

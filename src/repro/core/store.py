@@ -17,7 +17,6 @@ import threading
 from pathlib import Path
 from typing import Iterator
 
-from repro.core.engine import StorageEngine
 from repro.core.links import Context, LinkRow, LinkStore
 from repro.core.models import ModelInfo, ModelRegistry
 from repro.core.parser import InsertResult, TripleParser
@@ -47,7 +46,7 @@ _RDF_TYPE = RDF.type
 _RDF_STATEMENT = RDF.Statement
 
 
-class RDFStore(StorageEngine):
+class RDFStore:
     """The central-schema RDF store.
 
     :param database: the hosting database; pass an existing
@@ -64,32 +63,11 @@ class RDFStore(StorageEngine):
         ``REPRO_DURABILITY`` environment variable.  Ignored when an
         already-constructed :class:`Database` is passed in — that
         database's own profile stands.
-    :param shards: keyword-only engine selector.  The default (1) is
-        this class, the paper's single-file layout.  ``shards=N > 1``
-        makes the constructor return a
-        :class:`~repro.core.sharded.ShardedRDFStore` instead —
-        ``rdf_link$`` partitioned across N files with one writer queue
-        each (requires a file path; see :mod:`repro.core.sharded`).
     """
-
-    engine_kind = "single"
-
-    def __new__(cls, database: Database | str | Path | None = None,
-                observe: bool | None = None,
-                durability: str | None = None, *,
-                shards: int = 1) -> "RDFStore":
-        if cls is RDFStore and shards > 1:
-            from repro.core.sharded import ShardedRDFStore
-            # Not an RDFStore subclass, so Python skips __init__ on
-            # the returned instance: it comes back fully constructed.
-            return ShardedRDFStore(database, observe=observe,
-                                   durability=durability, shards=shards)
-        return super().__new__(cls)
 
     def __init__(self, database: Database | str | Path | None = None,
                  observe: bool | None = None,
-                 durability: str | None = None, *,
-                 shards: int = 1) -> None:
+                 durability: str | None = None) -> None:
         if database is None:
             database = Database(durability=durability)
         elif isinstance(database, (str, Path)):

@@ -543,9 +543,11 @@ class Database:
         keep the outer scope's writes (an uncaught exception still
         unwinds every scope and rolls back everything).
 
-        Under the ``paranoid`` profile, ``PRAGMA foreign_key_check``
-        runs before the outermost COMMIT; any violation aborts the
-        transaction with :class:`StorageError`.
+        Under the ``paranoid`` profile the outermost scope first reads
+        ``PRAGMA foreign_keys`` and raises :class:`StorageError`,
+        beginning nothing, when enforcement is off.  SQLite ignores
+        that pragma inside a transaction, so every statement up to
+        COMMIT is checked as it runs.
         """
         if self._in_transaction:
             self._in_transaction += 1
@@ -567,6 +569,12 @@ class Database:
             finally:
                 self._in_transaction -= 1
             return
+        if (self._profile.verify_foreign_keys
+                and not self.query_value("PRAGMA foreign_keys")):
+            raise StorageError(
+                "PRAGMA foreign_keys is OFF: the paranoid profile "
+                "refuses a transaction SQLite would not check; run "
+                "`repro doctor` for a whole-file foreign_key_check")
         self._in_transaction = 1
         self.execute("BEGIN")
         try:
@@ -581,21 +589,7 @@ class Database:
             raise
         else:
             self._in_transaction = 0
-            if self._profile.verify_foreign_keys:
-                self._verify_foreign_keys()
             self.execute("COMMIT")
-
-    def _verify_foreign_keys(self) -> None:
-        """Paranoid-profile sweep before the outermost COMMIT."""
-        rows = self.query_all("PRAGMA foreign_key_check")
-        if not rows:
-            return
-        first = rows[0]
-        self.execute("ROLLBACK")
-        raise StorageError(
-            f"foreign_key_check found {len(rows)} violation(s) at "
-            f"commit; first: table={first[0]!r} rowid={first[1]} "
-            f"references {first[2]!r}")
 
     # ------------------------------------------------------------------
     # cooperative cancellation

@@ -22,9 +22,11 @@ Profiles
     kills mid-bulkload).
 ``paranoid``
     WAL with ``synchronous = FULL``, a longer busy timeout, and a
-    ``PRAGMA foreign_key_check`` sweep before every outermost COMMIT —
-    foreign keys are verified on every path even if something switched
-    enforcement off mid-transaction.
+    ``PRAGMA foreign_keys`` read before every outermost BEGIN: a
+    transaction is refused when enforcement is off.  SQLite ignores
+    that pragma inside a transaction, so the read holds until COMMIT
+    and every statement is checked as it runs — O(1) per transaction,
+    not a whole-file ``foreign_key_check`` (``repro doctor`` runs that).
 
 Selection: constructor argument > ``REPRO_DURABILITY`` environment
 variable > ``ephemeral``.  The CLI exposes ``--durability``.
@@ -68,7 +70,7 @@ class DurabilityProfile:
     journal_mode: str
     synchronous: str
     busy_timeout_ms: int
-    #: Run ``PRAGMA foreign_key_check`` before every outermost COMMIT.
+    #: Refuse to BEGIN while ``PRAGMA foreign_keys`` is off.
     verify_foreign_keys: bool
     #: Run ``PRAGMA wal_checkpoint(TRUNCATE)`` on close so the main
     #: database file is complete on its own.

@@ -106,8 +106,8 @@ class MatchExplanation:
     Returned by ``sdo_rdf_match(..., explain=True)`` instead of rows:
     the chosen join order with selectivity estimates, what was pushed
     into SQL, the generated statement, whether the plan came from the
-    cache, and which engine would serve the query (``sql``, the
-    result ``cache``, or the sharded ``scatter`` merge).
+    cache, and which engine would serve the query (``sql`` or the
+    result ``cache``).
     """
 
     def __init__(self, query: str, models: tuple[str, ...],
@@ -118,7 +118,7 @@ class MatchExplanation:
         self.rulebases = rulebases
         self.cache = cache  #: "hit", "miss", or "bypass" (optimize off)
         self.plan = plan
-        self.engine = engine  #: "sql", "cache", or "scatter"
+        self.engine = engine  #: "sql" or "cache"
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -217,20 +217,15 @@ def sdo_rdf_match(store: "RDFStore", query: str,
     :param optimize: False is the legacy naive compile — textual join
         order, no pushdown, no plan or result cache.
     """
-    # The sharded backend evaluates queries itself (see inference/
-    # scatter.py); duck-typed so this module never imports that engine.
-    scatter = getattr(store, "scatter_match", None)
-    if scatter is not None:
-        return scatter(query, models, rulebases=rulebases,
-                       aliases=aliases, filter=filter,
-                       order_by=order_by, limit=limit, explain=explain,
-                       optimize=optimize)
     # Another connection's commit (a second store on the file, another
     # process) must reach this store's caches before anything probes
     # them; pooled sessions were already polled at lease.
     if store.database.poll_data_version():
         store.invalidate_caches()
-    check_arguments(models, limit)
+    if not models:
+        raise QueryError("SDO_RDF_MATCH requires at least one model")
+    if limit is not None and limit < 0:
+        raise QueryError(f"limit must be >= 0, got {limit}")
     aliases = aliases or AliasSet()
     if order_by is not None:
         order_by = order_by.lstrip("?")
@@ -266,7 +261,12 @@ def sdo_rdf_match(store: "RDFStore", query: str,
         else:
             # Not under explain: the EXPLAIN the server captures for a
             # slow request must not overwrite the real query's notes.
-            annotate_request(query, engine, plan_cache)
+            request = current_trace()
+            if request is not None:
+                request.annotate("query", query)
+                request.annotate("engine", engine)
+                if plan_cache is not None:
+                    request.annotate("plan_cache", plan_cache)
         if observer.enabled:
             observer.counter("match.queries").inc()
             if key is not None and not explain:
@@ -296,20 +296,11 @@ def ask(store: "RDFStore", query: str, models: Sequence[str],
                               aliases=aliases, limit=1))
 
 
-def check_arguments(models: Sequence[str], limit: int | None) -> None:
-    """Stage 1: what can be validated without parsing anything."""
-    if not models:
-        raise QueryError("SDO_RDF_MATCH requires at least one model")
-    if limit is not None and limit < 0:
-        raise QueryError(f"limit must be >= 0, got {limit}")
-
-
-def parse_and_validate(query: str, aliases: AliasSet,
-                       filter: str | None, order_by: str | None
-                       ) -> tuple[list[TriplePattern],
-                                  FilterExpression | None]:
-    """The one parse of the match path (scatter shares it): patterns
-    and filter, with every variable they and ``order_by`` use bound."""
+def _parse(query: str, aliases: AliasSet, filter: str | None,
+           order_by: str | None
+           ) -> tuple[list[TriplePattern], FilterExpression | None]:
+    """The one parse of the match path: patterns and filter, with
+    every variable they and ``order_by`` use bound."""
     patterns = parse_pattern_list(query, aliases)
     filter_expression = parse_filter(filter) if filter else None
     if filter_expression is not None or order_by is not None:
@@ -324,17 +315,6 @@ def parse_and_validate(query: str, aliases: AliasSet,
             raise QueryError(f"order_by variable {order_by!r} is not "
                              "bound by the query")
     return patterns, filter_expression
-
-
-def annotate_request(query: str, engine: str,
-                     plan_cache: str | None = None) -> None:
-    """Tell this thread's request trace, if any, what ran."""
-    request = current_trace()
-    if request is not None:
-        request.annotate("query", query)
-        request.annotate("engine", engine)
-        if plan_cache is not None:
-            request.annotate("plan_cache", plan_cache)
 
 
 def _plan(store: "RDFStore", query: str, models: Sequence[str],
@@ -352,7 +332,7 @@ def _plan(store: "RDFStore", query: str, models: Sequence[str],
         if plan is not None:
             return plan, "hit"
         status = "miss"
-    patterns, filter_expression = parse_and_validate(
+    patterns, filter_expression = _parse(
         query, aliases, filter, order_by)
     observer = store.observer
     with observer.span("match.compile", patterns=len(patterns),

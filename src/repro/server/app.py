@@ -6,49 +6,39 @@ substitute is an embedded library, so this module supplies the missing
 serving tier — stdlib only — on top of the concurrency primitives in
 :mod:`repro.db.pool`.
 
-Storage is a list of **units**, one per database file (a single file
-is one unit, ``shards=N`` is N), and every route is written once over
-that list:
+Storage is one database file behind two primitives:
 
-* **readers**: per unit, a :class:`~repro.db.pool.ConnectionPool` of
-  read-only connections, each wrapped in its own :class:`RDFStore`
-  (plan, statistics, term and model caches are per-connection; the
+* **readers**: a :class:`~repro.db.pool.ConnectionPool` of read-only
+  connections, each wrapped in its own :class:`RDFStore` (plan,
+  statistics, term and model caches are per-connection; the
   acquire-time snoop invalidates them when a writer commits);
-* **writer**: per unit, a :class:`~repro.db.pool.WriterQueue` — one
-  thread, one writable connection, strict FIFO.  ``/insert`` and
-  ``/delete`` enqueue jobs on the units that own their subjects and
-  answer when every transaction committed;
+* **writer**: a :class:`~repro.db.pool.WriterQueue` — one thread, one
+  writable connection, strict FIFO.  ``/insert`` and ``/delete``
+  enqueue one job and answer when its transaction committed;
 * **admission control**: a bounded gate (``workers + backlog``
   in-flight POSTs).  Saturation answers **429** with a ``Retry-After``
   header — the server sheds load, it never queues without bound;
-* **consistency**: a response names its snapshot as a **vector** of
-  durable serve-state ``write_version`` counters
-  (:mod:`repro.server.state`), one per unit; ``data_version`` is its
-  sum.  :meth:`ReproServer._read_snapshot` holds both disciplines.
-  **One unit:** the vector is read inside the same read transaction as
-  the query SQL, so it is exactly the snapshot the rows came from
-  (monotonic, torn-read-free).  **N units:** no transaction spans the
-  files, so the vector is read immediately *before* the scatter — it
-  names the newest snapshot each shard could have served, and a racing
-  write can only make the rows newer than the vector, never older
-  (``docs/sharding.md``).
+* **consistency**: a response names its snapshot by the durable
+  serve-state ``write_version`` (:mod:`repro.server.state`) — called
+  ``data_version`` on reads.  :meth:`ReproServer._read_snapshot` reads
+  it inside the same read transaction as the query SQL, so it is
+  exactly the snapshot the rows came from (monotonic, torn-read-free).
 
 Routes::
 
     POST /match    {query, models, rulebases?, aliases?, filter?,
                     order_by?, limit?}
-                   -> {rows, count, data_version, data_version_vector}
+                   -> {rows, count, data_version}
     POST /match/batch  {queries: [<match body>, ...]}
                    -> {results: [{rows, count, cached?} | {error, type}],
-                       count, errors, data_version,
-                       data_version_vector}
+                       count, errors, data_version}
                    one admission ticket, one snapshot shared by every
                    sub-result; per-query errors are isolated, the
                    deadline is batch-wide
     POST /insert   {model, triples, create?}
-                   -> {created, count, write_version, shards}
+                   -> {created, count, write_version}
     POST /delete   {model, triple, force?}
-                   -> {removed, write_version, shard}
+                   -> {removed, write_version}
     GET  /stats    pool/writer/admission gauges + metrics snapshot
     GET  /metrics  Prometheus text exposition
     GET  /healthz  live/ready/degraded health (503 only when unhealthy;
@@ -99,7 +89,6 @@ completion, then the pool and writer close.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import socket
@@ -111,11 +100,10 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import IO, Any, Callable, Iterator, NamedTuple
+from typing import IO, Any, Callable, Iterator
 
 from repro.cache import ResultCache, normalized_key
 from repro.cache.result_cache import estimate_bytes
-from repro.core.sharded import ShardedRDFStore
 from repro.core.store import RDFStore
 from repro.db.connection import Database
 from repro.db.faults import (
@@ -181,14 +169,6 @@ _WAL_PROFILES = ("durable", "paranoid")
 
 class _BadRequest(ReproError):
     """Malformed request body or parameters (HTTP 400)."""
-
-
-class _Unit(NamedTuple):
-    """One database file as the server sees it: its read pool and its
-    single writer.  One for a file, one per shard; no route asks which."""
-
-    pool: ConnectionPool
-    writer: WriterQueue
 
 
 class _CachedMatch:
@@ -261,16 +241,10 @@ class ServerConfig:
         at/past which the server reports degraded.
     :param degraded_pool_fraction: pool leases / size at/past which
         the server reports degraded.
-    :param shards: partition ``rdf_link$`` across this many shard
-        files (``<path>.shard<k>``) behind a
-        :class:`~repro.core.sharded.ShardedRDFStore` — one writer
-        queue and one read pool *per file*, scatter-gather /match
-        (see ``docs/sharding.md``).  1 (the default) serves ``path``
-        itself.
     :param result_cache: keep one shared
         :class:`~repro.cache.ResultCache` of complete ``/match``
         responses, keyed on the normalized query shape and the durable
-        write-version vector — a repeated hot read skips parsing,
+        ``write_version`` — a repeated hot read skips parsing,
         planning, and SQL entirely.  See ``docs/result_cache.md``.
     :param batch_limit: maximum sub-queries accepted by one
         ``POST /match/batch`` body.
@@ -302,7 +276,6 @@ class ServerConfig:
     health_min_requests: int = 10
     degraded_queue_fraction: float = 0.8
     degraded_pool_fraction: float = 1.0
-    shards: int = 1
     result_cache: bool = False
     batch_limit: int = 100
 
@@ -328,8 +301,6 @@ class ServerConfig:
             raise StorageError("idempotency_capacity must be >= 1")
         if not 0 <= self.shed_priority_below <= 10:
             raise StorageError("shed_priority_below must be in 0..10")
-        if self.shards < 1:
-            raise StorageError("server needs shards >= 1")
         if self.batch_limit < 1:
             raise StorageError("batch_limit must be >= 1")
 
@@ -361,15 +332,12 @@ class ReproServer:
             recent=config.recent_capacity)
         self._access = get_logger("server.access")
         self._access_handler: Any = None  # attached by start()
-        # The only storage the routes see: start() fills the unit list
-        # and, for shards, points the subject router at the engine's.
-        self._units: list[_Unit] = []
-        self._unit_of: Callable[[str, Triple], int] = \
-            lambda model, triple: 0
-        self.engine: ShardedRDFStore | None = None
+        # The read pool and the writer queue; start() opens both.
+        self.pool: ConnectionPool | None = None
+        self.writer: WriterQueue | None = None
         # One app-level cache shared by every handler thread, keyed on
-        # the durable write-version vector (never the pooled readers'
-        # local data_version counters, which are not comparable across
+        # the durable write_version (never the pooled readers' local
+        # data_version counters, which are not comparable across
         # connections).  Survives stop()/start() cycles by design —
         # version keys are durable, so reuse is safe.
         self.result_cache = ResultCache() if config.result_cache else None
@@ -419,42 +387,23 @@ class ReproServer:
         return store
 
     def start(self) -> "ReproServer":
-        """Open the storage units and the listener (non-blocking)."""
+        """Open the pool, the writer and the listener (non-blocking)."""
         if self._http is not None:
             raise StorageError("server already started")
         config = self.config
         if config.access_log:
             self._access_handler = self._attach_access_log()
-        if config.shards > 1:
-            # The engine opens and routes the shard files; the server
-            # borrows each shard's pool and writer as one unit.
-            engine = self.engine = ShardedRDFStore(
-                config.path,
-                observe=False,
-                durability=config.durability,
-                shards=config.shards,
-                writer_queue=config.writer_queue,
-                pool_size=config.workers,
-                pool_timeout=config.pool_timeout,
-                writer_init=lambda store:
-                    ensure_serve_state(store.database))
-            self._units = [
-                _Unit(engine.pool(index), engine.writer(index))
-                for index in range(engine.shard_count)]
-            self._unit_of = engine.shard_of_triple
-        else:
-            writer = WriterQueue(
-                self._writer_factory, maxsize=config.writer_queue,
-                observer=self.observer, faults=config.faults).start()
-            pool = ConnectionPool(
-                config.path, size=config.workers,
-                durability=config.durability,
-                timeout=config.pool_timeout,
-                observer=self.observer,
-                wrap=lambda db: RDFStore(db, observe=False),
-                invalidate=RDFStore.invalidate_caches,
-                faults=config.faults)
-            self._units = [_Unit(pool, writer)]
+        self.writer = WriterQueue(
+            self._writer_factory, maxsize=config.writer_queue,
+            observer=self.observer, faults=config.faults).start()
+        self.pool = ConnectionPool(
+            config.path, size=config.workers,
+            durability=config.durability,
+            timeout=config.pool_timeout,
+            observer=self.observer,
+            wrap=lambda db: RDFStore(db, observe=False),
+            invalidate=RDFStore.invalidate_caches,
+            faults=config.faults)
         self._http = _HTTPServer(
             (config.host, config.port), _Handler)
         self._http.app = self
@@ -475,16 +424,6 @@ class ReproServer:
         host, port = self._http.server_address[:2]
         return str(host), int(port)
 
-    @property
-    def pool(self) -> ConnectionPool | None:
-        """The sole unit's read pool; ``None`` with N units or stopped."""
-        return self._units[0].pool if len(self._units) == 1 else None
-
-    @property
-    def writer(self) -> WriterQueue | None:
-        """The sole unit's writer queue (see :attr:`pool`)."""
-        return self._units[0].writer if len(self._units) == 1 else None
-
     def stop(self, drain: bool = True) -> None:
         """Graceful shutdown: drain requests, flush writes, close."""
         if self._http is None:
@@ -495,14 +434,9 @@ class ReproServer:
         self._serve_thread.join(timeout=30.0)
         self._http = None
         self._serve_thread = None
-        if self.engine is None:
-            for unit in self._units:
-                unit.writer.stop(drain=drain)
-                unit.pool.close()
-        else:
-            self.engine.close()        # drains and closes every shard
-            self.engine = None
-        self._units = []
+        self.writer.stop(drain=drain)
+        self.pool.close()
+        self.writer = self.pool = None
         if self._access_handler is not None:
             self._access.removeHandler(self._access_handler)
             self._access_handler.close()
@@ -554,62 +488,42 @@ class ReproServer:
             limit
 
     @contextmanager
-    def _read_snapshot(self, deadline: Any) -> Iterator[tuple[Any, list]]:
-        """The one read seam: yields ``(target, vector)`` — what
-        ``sdo_rdf_match`` runs against, and the per-unit durable write
-        versions naming the snapshot (the module docstring's
-        *consistency* note has the two disciplines).  One unit: a
-        pooled lease under the deadline watchdog, and one read
-        transaction around the version read AND everything the caller
-        does inside the context — a result-cache probe included.  N
-        units: the engine leases per shard and bounds each shard's SQL
-        by the deadline itself (:mod:`repro.inference.scatter`).
-        """
-        if len(self._units) > 1:
-            yield self.engine, self._versions()[0]
-            return
-        with self._units[0].pool.lease() as store:
+    def _read_snapshot(self, deadline: Any) -> Iterator[tuple[RDFStore, int]]:
+        """The one read seam: yields ``(store, version)`` — a pooled
+        lease under the deadline watchdog, and the durable
+        ``write_version`` naming the snapshot.  One read transaction
+        spans the version read AND everything the caller does inside
+        the context, a result-cache probe included."""
+        with self.pool.lease() as store:
             database = store.database
             with database.deadline_scope(deadline), \
                     database.transaction():
-                yield store, [read_write_version(database)]
+                yield store, read_write_version(database)
 
-    def _versions(self, timeout: float | None = None
-                  ) -> tuple[list, list]:
-        """Per unit, off one lease each: the durable ``write_version``
-        a response names, and the leased connection's in-process
-        ``data_version`` cache-key counter."""
-        writes, datas = [], []
-        for unit in self._units:
-            with unit.pool.lease(timeout) as store:
-                writes.append(read_write_version(store.database))
-                datas.append(store.database.data_version)
-        return writes, datas
-
-    def _answer(self, target: Any, spec: tuple,
-                vector: list) -> tuple[_CachedMatch, bool | None]:
+    def _answer(self, store: RDFStore, spec: tuple,
+                version: int) -> tuple[_CachedMatch, bool | None]:
         """One query inside a snapshot: cache probe → ``sdo_rdf_match``
         → JSON-ready rows → cache store.
 
         Returns the answer and how the cache took part: ``True`` a hit,
         ``False`` a miss (now stored), ``None`` no cache configured.
-        Entries key on the normalized query shape and the whole vector
-        (equality only), so a commit on any unit invalidates.
+        Entries key on the normalized query shape and ``version``
+        (equality only), so any commit invalidates.
         """
         cache = self.result_cache
         if cache is not None:
             # Raises QueryError (HTTP 400) on anything the match
             # parsers would reject — never silently uncached.
             cache_key = normalized_key(*spec)
-            cached = cache.lookup(cache_key, tuple(vector))
+            cached = cache.lookup(cache_key, version)
             if cached is not None:
                 return cached, True
-        rows = sdo_rdf_match(target, *spec)
+        rows = sdo_rdf_match(store, *spec)
         rows_payload = [row.as_dict() for row in rows]
         answer = _CachedMatch(rows_payload, len(rows))
         if cache is None:
             return answer, None
-        cache.store(cache_key, tuple(vector), answer,
+        cache.store(cache_key, version, answer,
                     nbytes=estimate_bytes(rows_payload) + 64)
         return answer, False
 
@@ -619,33 +533,28 @@ class ReproServer:
         request = current_trace()
         deadline = request.deadline if request is not None else None
         start = time.perf_counter()
-        with self._read_snapshot(deadline) as (target, vector):
-            answer, cached = self._answer(target, spec, vector)
+        with self._read_snapshot(deadline) as (store, version):
+            answer, cached = self._answer(store, spec, version)
             if (not cached and request is not None
                     and time.perf_counter() - start
                     >= self.slowlog.threshold):
                 # Still inside the snapshot: capture the plan the slow
                 # query would (re)use.  The plan cache makes this a
-                # cheap lookup, not a second compile.  A query that
-                # scatters has no single plan to explain; its trace
-                # already says ``engine="scatter"``.
+                # cheap lookup, not a second compile.
                 try:
-                    explanation = sdo_rdf_match(target, *spec,
+                    explanation = sdo_rdf_match(store, *spec,
                                                 explain=True)
                     request.annotate("explain", explanation.render())
                     request.annotate("plan_sql", explanation.plan.sql)
                 except ReproError:
                     pass
-        version = sum(vector)
         if request is not None:
             request.annotate("rows", answer.count)
             request.annotate("data_version", version)
-            request.annotate("data_version_vector", vector)
         body = {
             "rows": answer.rows,
             "count": answer.count,
             "data_version": version,
-            "data_version_vector": vector,
         }
         if cached:
             if request is not None:
@@ -668,8 +577,8 @@ class ReproServer:
 
         The whole batch costs one admission ticket (taken before the
         body was read, like any POST) and one snapshot
-        (:meth:`_read_snapshot`): every sub-result shares the version
-        vector — the consistency /match gives one query, extended
+        (:meth:`_read_snapshot`): every sub-result shares the version —
+        the consistency /match gives one query, extended
         across the batch.  What is isolated per sub-query and what
         aborts the batch is :meth:`_one_batch_query`'s contract; a 504
         is always safe to retry (the batch is read-only).
@@ -684,26 +593,23 @@ class ReproServer:
                 f"batch_limit of {self.config.batch_limit}")
         request = current_trace()
         deadline = request.deadline if request is not None else None
-        with self._read_snapshot(deadline) as (target, vector):
-            results = [self._one_batch_query(target, item, vector)
+        with self._read_snapshot(deadline) as (store, version):
+            results = [self._one_batch_query(store, item, version)
                        for item in raw]
         errors = sum(1 for entry in results if "error" in entry)
-        version = sum(vector)
         if request is not None:
             request.annotate("batch", len(results))
             request.annotate("batch_errors", errors)
             request.annotate("data_version", version)
-            request.annotate("data_version_vector", vector)
         return 200, {
             "results": results,
             "count": len(results),
             "errors": errors,
             "data_version": version,
-            "data_version_vector": vector,
         }
 
-    def _one_batch_query(self, target: Any, item: Any,
-                         vector: list) -> dict:
+    def _one_batch_query(self, store: RDFStore, item: Any,
+                         version: int) -> dict:
         """One sub-query of a batch: answer or isolated error object.
 
         Two error families are deliberately NOT isolated and abort the
@@ -719,7 +625,7 @@ class ReproServer:
                 raise _BadRequest(
                     "each batch entry must be a match object")
             answer, cached = self._answer(
-                target, self._match_spec(item), vector)
+                store, self._match_spec(item), version)
         except (DeadlineExceededError, _BadRequest):
             raise
         except ReproError as exc:
@@ -731,18 +637,6 @@ class ReproServer:
 
     def _do_insert(self, payload: dict,
                    meta: dict | None = None) -> tuple[int, dict]:
-        """``/insert``: the batch fans out to the units that own its
-        subjects (a single file owns them all).
-
-        Each unit commits its own write transaction (rows + idempotency
-        ledger + write-version bump) on its own writer queue, in
-        parallel.  There is **no cross-unit atomicity**: a failure can
-        leave some shards committed.  A retry with the same
-        ``Idempotency-Key`` converges — committed shards replay their
-        recorded outcome, the rest re-apply, and re-inserting an
-        existing triple is a no-op (``created`` counts honestly); see
-        ``docs/sharding.md``.
-        """
         model = _require_str(payload, "model")
         raw = payload.get("triples")
         if not isinstance(raw, list) or not raw:
@@ -750,58 +644,32 @@ class ReproServer:
                 "triples must be a non-empty list of [s, p, o]")
         triples = [Triple.from_text(*_spo(item)) for item in raw]
         if payload.get("create", False):
-            # Model DDL is broadcast: every unit must know the model so
-            # any of them can answer any of its patterns.  Check-and-
-            # create runs on each unit's writer, so concurrent creators
-            # cannot race.
+            # Check-and-create runs on the writer, so concurrent
+            # creators cannot race.
             def ensure(store: RDFStore) -> None:
                 with store.database.transaction():
                     if not store.model_exists(model):
                         store.create_model(model)
 
-            self._await_writes(
-                [(index, unit.writer.submit(ensure))
-                 for index, unit in enumerate(self._units)], "insert")
-        batches: dict[int, list[Triple]] = {}
-        for triple in triples:
-            batches.setdefault(self._unit_of(model, triple),
-                               []).append(triple)
+            self._await(self.writer.submit(ensure), "insert")
 
-        def inserter(batch: list[Triple]):
-            def mutate(store: RDFStore) -> dict:
-                info = store.models.get(model)
-                created = 0
-                for triple in batch:
-                    result = store.parser.insert(info, triple)
-                    created += 1 if result.created else 0
-                version = bump_write_version(store.database)
-                return {"created": created, "count": len(batch),
-                        "write_version": version}
-            return mutate
+        def mutate(store: RDFStore) -> dict:
+            info = store.models.get(model)
+            created = 0
+            for triple in triples:
+                result = store.parser.insert(info, triple)
+                created += 1 if result.created else 0
+            version = bump_write_version(store.database)
+            return {"created": created, "count": len(triples),
+                    "write_version": version}
 
-        outcomes = self._submit_writes(
-            {index: inserter(batch)
-             for index, batch in batches.items()}, "insert", meta)
-        body = {
-            "created": sum(o["created"] for o in outcomes.values()),
-            "count": sum(o["count"] for o in outcomes.values()),
-            "write_version": sum(o["write_version"]
-                                 for o in outcomes.values()),
-            "shards": {str(index): o["write_version"]
-                       for index, o in outcomes.items()},
-        }
-        if all(o.get("idempotent_replay") for o in outcomes.values()):
-            body["idempotent_replay"] = True
-        return 200, body
+        return 200, self._write(mutate, "insert", meta)
 
     def _do_delete(self, payload: dict,
                    meta: dict | None = None) -> tuple[int, dict]:
         model = _require_str(payload, "model")
         subject, predicate, obj = _spo(payload.get("triple"))
         force = bool(payload.get("force", False))
-        # A delete names one concrete subject: exactly one unit owns it.
-        index = self._unit_of(
-            model, Triple.from_text(subject, predicate, obj))
 
         def mutate(store: RDFStore) -> dict:
             removed = store.remove_triple(
@@ -809,27 +677,22 @@ class ReproServer:
             version = bump_write_version(store.database)
             return {"removed": removed, "write_version": version}
 
-        outcome = dict(self._submit_writes(
-            {index: mutate}, "delete", meta)[index])
-        outcome.setdefault("shard", index)
-        return 200, outcome
+        return 200, self._write(mutate, "delete", meta)
 
-    def _submit_writes(self, groups: dict[int, Callable[[RDFStore], dict]],
-                       route: str, meta: dict | None) -> dict[int, dict]:
-        """Enqueue one write job per unit in ``groups`` (unit index →
-        mutate) and wait for every commit.
+    def _write(self, mutate: Callable[[RDFStore], dict], route: str,
+               meta: dict | None) -> dict:
+        """Enqueue one write job and wait for its commit.
 
-        Each ``mutate`` shares its write transaction with the
-        idempotency ledger: a recorded outcome is replayed without
-        executing ``mutate`` at all, a fresh one is recorded atomically
-        with the mutation — exactly-once across retries, per unit.  A
-        full writer queue is an immediate PoolTimeoutError (429).
+        ``mutate`` shares its write transaction with the idempotency
+        ledger: a recorded outcome is replayed without executing
+        ``mutate`` at all, a fresh one is recorded atomically with the
+        mutation — exactly-once across retries.  A full writer queue
+        is an immediate PoolTimeoutError (429).
         """
         key = (meta or {}).get("idempotency_key")
         capacity = self.config.idempotency_capacity
 
-        def job(mutate: Callable[[RDFStore], dict],
-                store: RDFStore) -> dict:
+        def job(store: RDFStore) -> dict:
             database = store.database
             with database.transaction():
                 if key is not None:
@@ -847,61 +710,48 @@ class ReproServer:
                                       capacity)
             return outcome
 
-        return self._await_writes(
-            [(index, self._units[index].writer.submit(
-                functools.partial(job, groups[index])))
-             for index in sorted(groups)], route)
+        return self._await(self.writer.submit(job), route)
 
-    def _await_writes(self, futures: list[tuple[int, Any]],
-                      route: str) -> dict[int, dict]:
-        """Wait for per-unit write commits under one shared budget.
+    def _await(self, future: Any, route: str) -> Any:
+        """Wait for a write job's commit.
 
-        One ``request_timeout`` (bounded by the request deadline)
-        covers *all* units together.  When it is the deadline that ran
-        out, still-queued jobs are cancelled (never applied), running
-        ones keep going, and the 504 tells the client to retry with
-        the same Idempotency-Key; a plain ``request_timeout`` expiry
-        leaves the jobs queued (503 — they still run).
+        ``request_timeout``, bounded by the request deadline, caps the
+        wait.  When it is the deadline that ran out, a still-queued job
+        is cancelled (never applied), a running one keeps going, and
+        the 504 tells the client to retry with the same
+        Idempotency-Key; a plain ``request_timeout`` expiry leaves the
+        job queued (503 — it still runs).
         """
         request = current_trace()
         deadline = request.deadline if request is not None else None
         timeout = self.config.request_timeout
         if deadline is not None:
             timeout = deadline.bound(timeout)
-        end = time.monotonic() + timeout
-        outcomes: dict[int, dict] = {}
-        for index, future in futures:
-            remaining = end - time.monotonic()
-            try:
-                outcomes[index] = future.result(
-                    timeout=max(0.0, remaining))
-            except FutureTimeoutError:
-                if deadline is None or not deadline.expired:
-                    raise
-                for _, later in futures:
-                    later.cancel()
-                raise DeadlineExceededError(
-                    f"deadline expired waiting for the {route} "
-                    f"commit on shard {index}; cancelled jobs were "
-                    "not applied, running ones keep going — retry "
-                    "with the same Idempotency-Key to learn the "
-                    "outcome") from None
-        return outcomes
+        try:
+            return future.result(timeout=max(0.0, timeout))
+        except FutureTimeoutError:
+            if deadline is None or not deadline.expired:
+                raise
+            future.cancel()
+            raise DeadlineExceededError(
+                f"deadline expired waiting for the {route} commit; a "
+                "cancelled job was not applied, a running one keeps "
+                "going — retry with the same Idempotency-Key to learn "
+                "the outcome") from None
 
     def _do_stats(self) -> tuple[int, dict]:
         self._sample_gauges()
-        units = self._units
         # Lease before reading the gauges: the lease snoops
-        # ``data_version``, so each row's pool counters are live and
-        # its version numbers come from the same lease.
+        # ``data_version``, so the pool counters are live and both
+        # version numbers come from the same lease.
         try:
-            vector, data_versions = self._versions(timeout=1.0)
+            with self.pool.lease(timeout=1.0) as store:
+                write_version = read_write_version(store.database)
+                data_version = store.database.data_version
         except PoolTimeoutError:
             # A saturated pool answers nulls rather than blocking
             # /stats behind query traffic.
-            vector = data_versions = [None] * len(units)
-        pools = [unit.pool.stats() for unit in units]
-        writers = [unit.writer.stats() for unit in units]
+            write_version = data_version = None
         body = {
             "server": {
                 "uptime_seconds": round(
@@ -912,41 +762,21 @@ class ReproServer:
                 "observe": self.config.observe,
                 "draining": self._draining,
                 "admission_free": getattr(self._gate, "_value", None),
-                "engine": "sharded" if len(units) > 1 else "single",
-                "shards": self.config.shards,
                 "result_cache": self.result_cache is not None,
             },
-            # Totals over the units (the one unit's own numbers for a
-            # single file); the per-unit rows are under "shards".
-            "pool": {
-                "path": self.config.path,
-                **{name: sum(pool[name] for pool in pools)
-                   for name in pools[0] if name != "path"}},
-            "writer": {
-                "depth": max(w["depth"] for w in writers),
-                "jobs_done": sum(w["jobs_done"] for w in writers),
-                "jobs_failed": sum(w["jobs_failed"] for w in writers),
-                "running": all(w["running"] for w in writers),
-                "aborted": any(w["aborted"] for w in writers),
-            },
+            "pool": self.pool.stats(),
+            "writer": self.writer.stats(),
             "health": self._assess_health().as_dict(),
             "slow_requests": self.slowlog.stats(),
             "metrics": self.metrics.as_dict(),
             # "version" means two things only: the durable
-            # write-version vector a response names (and its sum), and
-            # each leased connection's in-process ``data_version``
-            # cache-key counter.
+            # ``write_version`` a response names, and the leased
+            # connection's in-process ``data_version`` cache-key
+            # counter (a one-element list, as the wire has carried it).
             "versions": {
-                "write_version": None if None in vector else sum(vector),
-                "write_version_vector": vector,
-                "data_version": data_versions,
+                "write_version": write_version,
+                "data_version": [data_version],
             },
-            "shards": [
-                {"shard": index, "path": pool["path"], "writer": writer,
-                 "pool": pool, "write_version": write,
-                 "data_version": data}
-                for index, (pool, writer, write, data) in enumerate(
-                    zip(pools, writers, vector, data_versions))],
         }
         if self.result_cache is not None:
             body["result_cache"] = self.result_cache.stats()
@@ -987,32 +817,25 @@ class ReproServer:
         return 200, entry
 
     def _assess_health(self) -> HealthReport:
-        """Grade the serving layer from its live gauges.
-
-        The units aggregate pessimistically: *every* writer must run,
-        the deepest queue is the reported depth, and pool occupancy
-        sums across units against the summed capacity.
-        """
+        """Grade the serving layer from its live gauges."""
         return self.health.assess(
-            writer_running=self._writers_running(),
+            writer_running=self._writer_running(),
             writer_depth=self._queue_depth(),
             queue_limit=self.config.writer_queue,
             pool_in_use=self._pool_in_use(),
-            pool_size=self.config.workers * len(self._units))
+            pool_size=self.config.workers)
 
-    def _writers_running(self) -> bool:
-        """Every unit's writer thread is alive (False when stopped)."""
-        return bool(self._units) and all(
-            unit.writer.running for unit in self._units)
+    def _writer_running(self) -> bool:
+        """The writer thread is alive (False when stopped)."""
+        return self.writer is not None and self.writer.running
 
     def _queue_depth(self) -> int:
-        """Writer-queue depth gauge: the deepest unit's."""
-        return max((unit.writer.depth for unit in self._units),
-                   default=0)
+        """Writer-queue depth gauge (0 when stopped)."""
+        return self.writer.depth if self.writer is not None else 0
 
     def _pool_in_use(self) -> int:
-        """Read leases out, summed across every unit's pool."""
-        return sum(unit.pool.in_use for unit in self._units)
+        """Read leases out (0 when stopped)."""
+        return self.pool.in_use if self.pool is not None else 0
 
     def _do_healthz(self, query_string: str = "") -> tuple[int, dict]:
         """Live/ready/degraded health.
@@ -1030,7 +853,7 @@ class ReproServer:
         if check == "ready":
             return ((200 if report.ready else 503),
                     {"status": report.state, "ready": report.ready})
-        writer_ok = self._writers_running()
+        writer_ok = self._writer_running()
         integrity = "skipped (writer down)"
         if writer_ok:
             try:
@@ -1055,15 +878,10 @@ class ReproServer:
         return (200 if report.ready else 503), body
 
     def _integrity_probe(self) -> str:
-        """A bounded ``PRAGMA quick_check`` of every unit's file, first
-        failure wins."""
-        for index, unit in enumerate(self._units):
-            with unit.pool.lease(timeout=1.0) as store:
-                verdict = str(store.database.query_value(
-                    "PRAGMA quick_check", default="failed"))
-            if verdict != "ok":
-                return f"shard {index}: {verdict}"
-        return "ok"
+        """A bounded ``PRAGMA quick_check`` of the database file."""
+        with self.pool.lease(timeout=1.0) as store:
+            return str(store.database.query_value(
+                "PRAGMA quick_check", default="failed"))
 
     # ------------------------------------------------------------------
     # dispatch plumbing (called from the handler threads)
@@ -1180,25 +998,14 @@ class ReproServer:
         self._gate.release()
 
     def _sample_saturation(self) -> None:
-        """Refresh the queue-depth and pool-occupancy gauges.
-
-        One depth gauge per unit rides along, so saturation on a
-        single hot partition is visible even when the aggregate looks
-        healthy.
-        """
-        for index, unit in enumerate(self._units):
-            self.metrics.gauge(
-                f"shard{index}.queue_depth",
-                f"write jobs queued on shard {index}").set(
-                    unit.writer.depth)
+        """Refresh the queue-depth and pool-occupancy gauges."""
         self.metrics.gauge(
             "server.queue_depth",
-            "write jobs waiting in the writer queue "
-            "(deepest shard)").set(self._queue_depth())
+            "write jobs waiting in the writer queue").set(
+                self._queue_depth())
         self.metrics.gauge(
             "pool.in_use",
-            "read connections out on lease "
-            "(all shards)").set(self._pool_in_use())
+            "read connections out on lease").set(self._pool_in_use())
 
     def _sample_gauges(self) -> None:
         """Refresh every gauge for ``/metrics`` and ``/stats``: the

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.integrity import check_integrity
+from repro.core.store import RDFStore
 
 
 @pytest.fixture
@@ -142,6 +143,7 @@ class TestDoctorCommand:
         assert "ok:" in output
 
     def test_empty_database_passes(self, db_path):
+        RDFStore(db_path).close()
         code, output = self.run("doctor", db_path)
         assert code == 0
 
@@ -160,6 +162,7 @@ class TestDoctorCommand:
         assert "problems found" in output
 
     def test_doctor_reports_durability(self, db_path):
+        RDFStore(db_path).close()
         code, output = self.run("--durability", "durable",
                                 "doctor", db_path)
         assert code == 0

@@ -36,6 +36,11 @@ class TestLifecycle:
         assert second.model_exists("m")
         database.close()
 
+    def test_shards_kwarg_rejected(self, tmp_path):
+        with pytest.raises(TypeError):
+            RDFStore(tmp_path / "rdf.db", shards=2)
+        assert not (tmp_path / "rdf.db").exists()
+
 
 class TestTripleAPI:
     def test_insert_and_iterate(self, store):

@@ -237,3 +237,20 @@ class TestParanoidForeignKeyVerification:
                 db.execute("INSERT INTO parent VALUES (1)")
                 db.execute("INSERT INTO child VALUES (1)")
             assert db.row_count("child") == 1
+
+
+class TestParanoidForeignKeyGuardCost:
+    def test_commit_path_runs_no_whole_file_check(self, tmp_path):
+        observer = Observer()
+        with Database(tmp_path / "fk.db", durability="paranoid",
+                      observer=observer) as db:
+            db.executescript(
+                "CREATE TABLE parent (id INTEGER PRIMARY KEY);"
+                "CREATE TABLE child (pid INTEGER REFERENCES parent (id));")
+            for i in range(3):
+                with db.transaction():
+                    db.execute("INSERT INTO parent VALUES (?)", (i,))
+                    db.execute("INSERT INTO child VALUES (?)", (i,))
+            shapes = [s.statement for s in observer.sql.statements()]
+        assert any("PRAGMA foreign_keys" in s for s in shapes)
+        assert not any("foreign_key_check" in s for s in shapes)

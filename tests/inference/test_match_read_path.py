@@ -1,12 +1,11 @@
 """The one read path of ``sdo_rdf_match``: the pieces written once.
 
 Validation and the telemetry block each exist once and serve both
-engines (single-file SQL and sharded scatter-gather), so one
-parametrised suite pins that the engines agree — same rows, same error
-text, same EXPLAIN verdict — and that every outcome of a query is
-counted exactly once.  The version-gated result-cache pass is the
-single-file store's alone, and so is the entry poll that lets it (and
-the plan cache) see a second connection's commits.
+engines (SQL and the result cache), so one parametrised suite pins
+that they agree — same rows, same error text, same EXPLAIN verdict —
+and that every outcome of a query is counted exactly once.  The entry
+poll lets the result cache and the plan cache see a second
+connection's commits.
 """
 
 import pytest
@@ -18,8 +17,8 @@ from repro.inference.match import sdo_rdf_match
 MODEL = "m"
 TRIPLES = [(f"<urn:s{i}>", "<urn:p>", f'"v{i % 3}"') for i in range(6)] \
     + [(f"<urn:s{i}>", "<urn:q>", f"<urn:s{i + 1}>") for i in range(5)]
-#: Scans, an anchored lookup (single-shard fast path when sharded), a
-#: join, and filter / ORDER BY / LIMIT post-processing.
+#: Scans, an anchored lookup, a join, and filter / ORDER BY / LIMIT
+#: post-processing.
 QUERIES = [
     ("(?s <urn:p> ?o)", {}),
     ("(<urn:s2> ?p ?o)", {}),
@@ -39,9 +38,8 @@ BAD_CALLS = [
 ]
 
 
-def _open(tmp_path, name: str, shards: int, cache: bool):
-    store = RDFStore(str(tmp_path / f"{name}.db"), durability="durable",
-                     shards=shards)
+def _open(tmp_path, name: str, cache: bool):
+    store = RDFStore(str(tmp_path / f"{name}.db"), durability="durable")
     store.create_model(MODEL)
     for triple in TRIPLES:
         store.insert_triple(MODEL, *triple)
@@ -62,14 +60,13 @@ def _error(store, query, models, kwargs) -> str:
     return str(info.value)
 
 
-@pytest.mark.parametrize("shards,cache", [
-    pytest.param(1, False, id="single-file-cache-off"),
-    pytest.param(1, True, id="single-file-cache-on"),
-    pytest.param(2, False, id="2-shard-cache-off"),
+@pytest.mark.parametrize("cache", [
+    pytest.param(False, id="single-file-cache-off"),
+    pytest.param(True, id="single-file-cache-on"),
 ])
-def test_engines_agree(tmp_path, shards, cache):
-    with _open(tmp_path, "ref", 1, False) as reference, \
-            _open(tmp_path, "eng", shards, cache) as engine:
+def test_engines_agree(tmp_path, cache):
+    with _open(tmp_path, "ref", False) as reference, \
+            _open(tmp_path, "eng", cache) as engine:
         for query, kwargs in QUERIES:
             expected = _rows(reference, query, **kwargs)
             assert _rows(engine, query, **kwargs) == expected
@@ -78,7 +75,6 @@ def test_engines_agree(tmp_path, shards, cache):
         for label, query, models, kwargs in BAD_CALLS:
             assert _error(engine, query, models, kwargs) == \
                 _error(reference, query, models, kwargs), label
-        # Subject-anchored, so EXPLAIN works on the sharded engine too.
         anchored = QUERIES[1][0]
         verdict = sdo_rdf_match(engine, anchored, [MODEL],
                                 explain=True).engine
@@ -86,7 +82,7 @@ def test_engines_agree(tmp_path, shards, cache):
             assert verdict == "cache"
             assert engine.result_cache.stats()["hits"] >= len(QUERIES)
         else:
-            assert verdict == ("sql" if shards == 1 else "scatter")
+            assert verdict == "sql"
 
 
 @pytest.mark.parametrize("cache", [False, True],

@@ -228,57 +228,18 @@ class TestStats:
         assert "network links: 0" in output
 
 
-class TestDoctorSharded:
-    """``repro doctor DB`` auto-discovers a sharded layout and sweeps
-    every shard file (per-shard integrity + layout identity)."""
-
-    def _sharded(self, db_path, shards=3):
-        from repro.core.store import RDFStore
-
-        with RDFStore(db_path, shards=shards,
-                      durability="durable") as store:
-            store.create_model("m")
-            for i in range(6):
-                store.insert_triple("m", f"<http://s{i}>", "<http://p>",
-                                    f"<http://o{i}>")
-
-    def test_clean_sweep(self, db_path):
+class TestDoctor:
+    def test_missing_db_is_an_error_and_creates_nothing(self, db_path):
         import os
 
-        self._sharded(db_path)
         code, output = run("doctor", db_path)
-        assert code == 0
-        assert "all 3 shards clean" in output
-        for index in range(3):
-            assert f"cli.db.shard{index}" in output
-        # The sweep must not create an empty base file.
+        assert code != 0
+        assert "no database file" in output
         assert not os.path.exists(db_path)
 
-    def test_missing_shard_is_reported(self, db_path):
-        import os
 
-        self._sharded(db_path)
-        os.remove(f"{db_path}.shard2")
-        code, output = run("doctor", db_path)
-        assert code == 3
-        assert "[shard-meta]" in output
+def test_serve_has_no_shards_flag():
+    from repro.cli import _build_parser
 
-    def test_unsharded_doctor_still_works(self, db_path):
-        run("create-model", db_path, "m")
-        run("insert", db_path, "m", "s:a", "p:x", "o:a")
-        code, output = run("doctor", db_path)
-        assert code == 0
-        assert "ok:" in output
-
-
-class TestServeSharded:
-    def test_serve_accepts_shards_flag(self):
-        """--shards is plumbed into ServerConfig (parser-level test;
-        the serving behavior is covered in tests/server)."""
-        from repro.cli import _build_parser
-
-        args = _build_parser().parse_args(
-            ["serve", "x.db", "--shards", "4"])
-        assert args.shards == 4
-        args = _build_parser().parse_args(["serve", "x.db"])
-        assert args.shards == 1
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(["serve", "x.db", "--shards", "4"])

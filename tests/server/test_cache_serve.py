@@ -223,58 +223,17 @@ class TestMatchBatch:
 
 
 # ----------------------------------------------------------------------
-# sharded engine
-# ----------------------------------------------------------------------
-
-class TestShardedCacheServe:
-    def test_vector_keyed_hit_and_invalidation(self, tmp_path):
-        with make_server(tmp_path, shards=2) as server:
-            host, port = server.address
-            with ReproClient(host, port) as c:
-                seed(c, n=4)
-                first = c.match("(?s <urn:p> ?o)", ["m"])
-                assert first["cached"] is False
-                hit = c.match("(?s <urn:p> ?o)", ["m"])
-                assert hit["cached"] is True
-                assert hit["data_version_vector"] \
-                    == first["data_version_vector"]
-                # A write to any one shard moves the vector.
-                c.insert("m", [["<urn:s9>", "<urn:p>", "<urn:o9>"]])
-                miss = c.match("(?s <urn:p> ?o)", ["m"])
-                assert miss["cached"] is False
-                assert miss["count"] == 5
-
-    def test_sharded_batch_shares_one_vector(self, tmp_path):
-        with make_server(tmp_path, shards=2) as server:
-            host, port = server.address
-            with ReproClient(host, port) as c:
-                seed(c, n=4)
-                batch = c.match_batch([
-                    {"query": "(?s <urn:p> ?o)", "models": ["m"]},
-                    {"query": "(?s <urn:p> ?o)", "models": ["nope"]},
-                    {"query": "(<urn:s0> <urn:p> ?o)",
-                     "models": ["m"]},
-                ])
-                assert batch["errors"] == 1
-                assert "data_version_vector" in batch
-                assert batch["results"][0]["count"] == 4
-                assert batch["results"][1]["type"] \
-                    == "ModelNotFoundError"
-
-
-# ----------------------------------------------------------------------
 # pooled readers whose data_version counters have drifted apart
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_drifted_readers_stay_coherent(tmp_path, shards):
+def test_drifted_readers_stay_coherent(tmp_path):
     """A lease held across each ``/insert`` leaves that reader's local
     ``data_version`` behind its sibling's; the tier keys on the durable
-    write-version vector, so no reader's counter can make it serve the
+    ``write_version``, so no reader's counter can make it serve the
     pre-insert rows."""
     query = "(?s <urn:p> ?o)"
-    with make_server(tmp_path, workers=2, shards=shards) as server:
-        pool = server.pool or server.engine.pool(0)
+    with make_server(tmp_path, workers=2) as server:
+        pool = server.pool
         host, port = server.address
         with ReproClient(host, port) as c:
             seed(c, n=2)
