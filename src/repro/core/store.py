@@ -112,12 +112,13 @@ class RDFStore:
 
     @property
     def plan_cache(self):
-        """The SDO_RDF_MATCH plan cache (lazy, one per store)."""
+        """The SDO_RDF_MATCH plan cache (lazy, one per store), binding
+        each hit's constants through this store's value dictionary."""
         if self._plan_cache is None:
             with self._lazy_lock:
                 if self._plan_cache is None:
                     from repro.inference.plan import PlanCache
-                    self._plan_cache = PlanCache()
+                    self._plan_cache = PlanCache(self.values)
         return self._plan_cache
 
     @property

@@ -18,17 +18,20 @@ One read path, six stages in a line:
    connection for other connections' commits;
 2. **result-cache probe** — opt-in (:mod:`repro.cache`): a fresh entry
    for the normalized query shape answers without stages 3-6;
-3. **plan** — ``store.plan_cache`` keyed on the raw query shape, so a
-   repeated query skips parsing; a miss parses, validates and compiles
-   (:mod:`repro.inference.plan`: joins reordered most-selective first,
-   filter/ORDER BY/LIMIT pushed into SQL where provably equivalent);
+3. **plan** — ``store.plan_cache`` keyed on the query shape: a hit
+   binds this call's constants to the shape's cached template, so a
+   point lookup of any subject skips parsing and compiling; a miss
+   parses, validates and compiles (:mod:`repro.inference.plan`: joins
+   reordered most-selective first, filter/ORDER BY/LIMIT pushed into
+   SQL where provably equivalent);
 4. **SQL** — the plan's one statement;
 5. **resolve** the result VALUE_IDs to terms in one batch;
 6. **post-process** — whatever of filter/ORDER BY/LIMIT was not pushed.
 
 Telemetry is emitted once, after the last stage, whatever the outcome.
 ``explain=True`` stops after stage 3 and returns a
-:class:`MatchExplanation`; ``optimize=False`` is the legacy
+:class:`MatchExplanation` of the query asked (a shape hit reports its
+own constants and their statistics); ``optimize=False`` is the legacy
 textual-order compile (no statistics, pushdown or caches), kept as the
 property tests' reference path.
 """
@@ -41,7 +44,7 @@ from repro.cache.result_cache import read_through
 from repro.errors import QueryError
 from repro.inference.filters import FilterExpression, parse_filter
 from repro.inference.patterns import TriplePattern, parse_pattern_list
-from repro.inference.plan import QueryPlan, build_plan, plan_key
+from repro.inference.plan import QueryPlan, build_plan, describe, plan_key
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS as _COUNT_BUCKETS
 from repro.obs.reqctx import current_trace
 from repro.rdf.namespaces import AliasSet
@@ -257,7 +260,8 @@ def sdo_rdf_match(store: "RDFStore", query: str,
             result = MatchExplanation(
                 query=query, models=tuple(models),
                 rulebases=tuple(rulebases), cache=plan_cache,
-                plan=plan, engine=engine)
+                plan=describe(store, plan, models, rulebases),
+                engine=engine)
         else:
             # Not under explain: the EXPLAIN the server captures for a
             # slow request must not overwrite the real query's notes.
@@ -321,8 +325,9 @@ def _plan(store: "RDFStore", query: str, models: Sequence[str],
           rulebases: Sequence[str], aliases: AliasSet,
           filter: str | None, order_by: str | None, limit: int | None,
           optimize: bool) -> tuple[QueryPlan, str]:
-    """Stage 3: the cached plan for this query shape, else a compiled
-    one, and which: "hit", "miss", or "bypass" (``optimize=False``)."""
+    """Stage 3: the cached template of this query shape bound to this
+    call's constants, else a compiled plan, and which: "hit", "miss",
+    or "bypass" (``optimize=False``)."""
     key = None
     status = "bypass"
     if optimize:

@@ -13,6 +13,7 @@ Prefixed names are expanded through the supplied
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -109,88 +110,80 @@ def unify(pattern: TriplePattern, triple: Triple,
     return result
 
 
+#: One component token: quoted literals (with any ``@lang`` or
+#: ``^^type`` tail), IRIs in angle brackets and bare characters, glued
+#: together up to whitespace or a parenthesis.  Each alternative starts
+#: with a character no other one can, and bare text goes one character
+#: per repetition, so a failed match backtracks in linear time.
+_TERM = r'(?:[^\s()"<]|"(?:[^"\\]|\\.)*"|<[^<>\s]*>)+'
+#: The tokenizer: one parenthesised triple pattern per match, its three
+#: component tokens captured.
+_PATTERN = re.compile(
+    rf'\s*\(\s*({_TERM})\s+({_TERM})\s+({_TERM})\s*\)\s*')
+#: Error path only: one token per match, to say what went wrong.
+_TOKEN = re.compile(rf'\s*(?:({_TERM})|([()])|(\S))')
+
+
+def scan_patterns(text: str) -> list[tuple[str, str, str]]:
+    """The component tokens of each pattern in ``text``, in order.
+
+    The one tokenizer of the pattern language: the parser and the plan
+    cache's key both read queries through it, so they cannot disagree
+    about what a token is.  Text it does not fully consume raises
+    :class:`~repro.errors.QueryError`.
+    """
+    groups: list[tuple[str, str, str]] = []
+    match = _PATTERN.match
+    position, end = 0, len(text)
+    while position < end:
+        found = match(text, position)
+        if found is None:
+            raise QueryError(_diagnose(text, position))
+        groups.append(found.groups())
+        position = found.end()
+    if not groups:
+        raise QueryError(f"no triple patterns in {text!r}")
+    return groups
+
+
+def _diagnose(text: str, position: int) -> str:
+    """Why the pattern starting at ``position`` does not scan."""
+    tokens = []
+    for found in _TOKEN.finditer(text, position):
+        term, paren, other = found.groups()
+        if other == '"':
+            return f"unterminated literal in {text!r}"
+        if other is not None:
+            return f"unexpected {other!r} in {text!r}"
+        if not tokens and paren != "(":
+            if paren == ")":
+                return f"unbalanced ')' in {text!r}"
+            return f"unexpected {term!r} outside parentheses in {text!r}"
+        if paren == ")":
+            return (f"a triple pattern needs 3 components, got "
+                    f"{len(tokens) - 1} in {text!r}")
+        if paren == "(" and tokens:
+            return f"unexpected '(' in {text!r}"
+        tokens.append(term or paren)
+    if not tokens:
+        return f"no triple patterns in {text!r}"
+    return f"unbalanced '(' in {text!r}"
+
+
 def parse_pattern_list(text: str,
                        aliases: AliasSet | None = None
                        ) -> list[TriplePattern]:
     """Parse a whitespace-separated list of parenthesised patterns."""
     if aliases is None:
         aliases = AliasSet()
-    groups = _split_groups(text)
-    if not groups:
-        raise QueryError(f"no triple patterns in {text!r}")
-    return [_parse_group(group, aliases) for group in groups]
+    return [TriplePattern(*(parse_component(token, aliases)
+                            for token in tokens))
+            for tokens in scan_patterns(text)]
 
 
-def _split_groups(text: str) -> list[str]:
-    """Split ``(a b c) (d e f)`` into the parenthesised groups."""
-    groups: list[str] = []
-    depth = 0
-    start = -1
-    in_string = False
-    for index, ch in enumerate(text):
-        if in_string:
-            if ch == '"' and text[index - 1] != "\\":
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "(":
-            if depth == 0:
-                start = index
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise QueryError(f"unbalanced ')' in {text!r}")
-            if depth == 0:
-                groups.append(text[start + 1:index])
-        elif depth == 0 and not ch.isspace():
-            raise QueryError(
-                f"unexpected {ch!r} outside parentheses in {text!r}")
-    if depth != 0:
-        raise QueryError(f"unbalanced '(' in {text!r}")
-    return groups
-
-
-def _parse_group(group: str, aliases: AliasSet) -> TriplePattern:
-    tokens = _tokenize(group)
-    if len(tokens) != 3:
-        raise QueryError(
-            f"a triple pattern needs 3 components, got {len(tokens)} "
-            f"in ({group})")
-    subject, predicate, obj = (
-        _parse_component(token, aliases) for token in tokens)
-    return TriplePattern(subject, predicate, obj)
-
-
-def _tokenize(group: str) -> list[str]:
-    """Whitespace tokenizer that keeps quoted literals whole."""
-    tokens: list[str] = []
-    current: list[str] = []
-    in_string = False
-    for ch in group:
-        if in_string:
-            current.append(ch)
-            if ch == '"' and (len(current) < 2 or current[-2] != "\\"):
-                in_string = False
-            continue
-        if ch == '"':
-            current.append(ch)
-            in_string = True
-        elif ch.isspace():
-            if current:
-                tokens.append("".join(current))
-                current = []
-        else:
-            current.append(ch)
-    if in_string:
-        raise QueryError(f"unterminated literal in ({group})")
-    if current:
-        tokens.append("".join(current))
-    return tokens
-
-
-def _parse_component(token: str, aliases: AliasSet) -> PatternComponent:
+def parse_component(token: str, aliases: AliasSet) -> PatternComponent:
+    """One component token: a variable, or a term with prefixes
+    expanded through ``aliases``."""
     if token.startswith("?"):
         return Variable(token[1:])
     expanded = aliases.expand(token)

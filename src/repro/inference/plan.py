@@ -6,7 +6,8 @@ middle of it:
 1. :func:`build_plan` turns parsed triple patterns into a
    :class:`QueryPlan` — the logical IR.  Constants are resolved to
    VALUE_IDs (an unknown constant makes the plan *impossible*:
-   nothing can match), estimates come from
+   nothing can match, though its SQL is still compiled for the
+   shape's other constants), estimates come from
    :class:`~repro.inference.stats.MatchStatistics`, and a greedy
    reorder places the most selective pattern first, preferring
    join-connected patterns over cross products.
@@ -16,10 +17,15 @@ middle of it:
    ORDER BY, and LIMIT down into SQL, and skips ``DISTINCT`` when the
    dataset provably has no duplicate triples (single model, no
    rulebases).
-3. :class:`PlanCache` keeps compiled plans keyed by the full query
-   shape and the database's ``data_version``, so a repeated query
-   skips parsing, statistics, and SQL generation entirely — and any
-   data change invalidates every cached plan at once.
+3. :class:`PlanCache` keeps one compiled plan per query *shape*
+   (:func:`plan_key`), checked against the database's
+   ``data_version``.  A single-pattern query's constants are slots of
+   its shape, bound on every hit (:meth:`QueryPlan.bind`: parse the
+   constant token, resolve its VALUE_ID), so a point lookup of any
+   subject skips parsing, statistics and SQL generation; a query of
+   several patterns keeps its constants in the key, because its join
+   order depends on them.  Any data change invalidates every cached
+   plan at once.
 
 Filter pushdown is deliberately conservative: only comparisons whose
 SQL evaluation is *provably identical* to the Python evaluator in
@@ -39,17 +45,25 @@ from __future__ import annotations
 import sqlite3
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from repro.core.schema import LINK_TABLE
 from repro.errors import RulesIndexError, StaleRulesIndexError
 from repro.inference.filters import Comparison, FilterExpression, _Var
-from repro.inference.patterns import TriplePattern, Variable
+from repro.inference.patterns import (
+    TriplePattern,
+    Variable,
+    parse_component,
+    scan_patterns,
+)
 from repro.inference.rules_index import INFERRED_TABLE
+from repro.rdf.namespaces import AliasSet
+from repro.rdf.terms import RDFTerm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.store import RDFStore
+    from repro.core.values import ValueStore
 
 #: ``NOT MATERIALIZED`` forces SQLite to treat the dataset CTE as a
 #: view, so constants push into each reference and the access-path
@@ -73,10 +87,23 @@ class PlannedPattern:
 
     source_index: int            #: position in the query text (0-based)
     pattern: TriplePattern
-    constants: dict[str, int]    #: position (s/p/o) -> VALUE_ID
+    constants: dict[str, int | None]  #: position (s/p/o) -> VALUE_ID
     estimate: float | None = None       #: estimated matching rows
     constant_counts: dict[str, int] = field(default_factory=dict)
     alias: str = ""              #: SQL alias, assigned in join order
+
+    def rebind(self, bound: dict[str, tuple[RDFTerm, int | None]]
+               ) -> "PlannedPattern":
+        """This step with new constants, ``position -> (term,
+        VALUE_ID)`` for each of its constant positions; statistics are
+        dropped."""
+        components = [bound[position][0] if position in bound else part
+                      for position, part in zip("spo",
+                                                self.pattern.components())]
+        return PlannedPattern(
+            self.source_index, TriplePattern(*components),
+            {position: value_id for position, (_, value_id)
+             in bound.items()}, alias=self.alias)
 
     def as_dict(self) -> dict[str, Any]:
         entry: dict[str, Any] = {
@@ -99,6 +126,14 @@ class QueryPlan:
     projection, the residual Python filter, which of ORDER BY / LIMIT
     already happened in SQL — is carried here so a cache hit can skip
     every earlier pipeline stage.
+
+    A plan is also the template of its query shape: ``statement`` is
+    the compiled SQL even when this call's constants made the plan
+    impossible, and ``slots`` says which ``params`` entry each pattern
+    constant fills, so :meth:`bind` can answer the same shape for other
+    constants without compiling.  A bound plan records its constants in
+    ``bound``; its ``join_order`` is still the template's, which is all
+    execution needs, and :func:`describe` rebinds it for EXPLAIN.
     """
 
     sql: str | None
@@ -117,10 +152,42 @@ class QueryPlan:
     optimized: bool
     order_by: str | None = None   #: the requested sort variable
     limit: int | None = None      #: the requested row cap
+    statement: str | None = None  #: the SQL, impossible or not
+    #: ``(source_index, position, params index)`` of every pattern
+    #: constant, in textual order — the order of a key's constants.
+    slots: tuple[tuple[int, str, int], ...] = ()
+    #: The constants of a bound plan, in slot order (see :meth:`bind`).
+    bound: tuple[RDFTerm, ...] = ()
 
     @property
     def pattern_count(self) -> int:
         return len(self.join_order)
+
+    def bind(self, terms: Sequence[RDFTerm],
+             find_id: Callable[[RDFTerm], int | None]) -> "QueryPlan":
+        """This plan's shape with ``terms`` as its pattern constants.
+
+        ``terms`` fill :attr:`slots` in order, each resolved to its
+        VALUE_ID on this call.  A term with no VALUE_ID makes only the
+        bound plan impossible.  Runs on every cache hit, so it touches
+        only what execution reads; :func:`describe` does the rest.
+        """
+        params = list(self.params)
+        reason = None
+        for (_, _, index), term in zip(self.slots, terms):
+            value_id = find_id(term)
+            if value_id is None and reason is None:
+                reason = _unknown_constant(term)
+            params[index] = value_id
+        # A shallow copy without copy.copy's reduce protocol: this runs
+        # on every cache hit.
+        plan = object.__new__(QueryPlan)
+        plan.__dict__.update(self.__dict__)
+        plan.sql = None if reason else self.statement
+        plan.params = tuple(params)
+        plan.impossible_reason = reason
+        plan.bound = tuple(terms)
+        return plan
 
     def as_dict(self) -> dict[str, Any]:
         """The JSON-ready EXPLAIN payload."""
@@ -145,37 +212,85 @@ class QueryPlan:
 # plan cache
 # ----------------------------------------------------------------------
 
-def plan_key(query: str, models: Sequence[str],
-             rulebases: Sequence[str], aliases,
-             filter_text: str | None, order_by: str | None,
-             limit: int | None) -> tuple:
-    """The cache key of one query shape.
+class PlanKey:
+    """The cache key of one query shape, carrying this call's constants.
 
-    Built from raw inputs only (no parsing), so a cache hit can skip
-    the parse stage entirely.
+    Hash and equality cover the shape only: the pattern tokens with
+    each constant of a single-pattern query lifted out as a positional
+    slot, the models, rulebases, alias fingerprint, filter text,
+    ``order_by`` and ``limit``.  ``constants`` (the lifted tokens, in
+    textual order) and ``aliases`` ride along for
+    :meth:`PlanCache.lookup` to bind.  A query of several patterns
+    keeps its constants in the shape, because its join order depends
+    on them.
     """
+
+    __slots__ = ("shape", "constants", "aliases", "_hash")
+
+    def __init__(self, shape: tuple, constants: tuple[str, ...],
+                 aliases: AliasSet) -> None:
+        self.shape = shape
+        self.constants = constants
+        self.aliases = aliases
+        self._hash = hash(shape)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PlanKey) and self.shape == other.shape
+
+    def __repr__(self) -> str:
+        return f"PlanKey({self.shape!r}, constants={self.constants!r})"
+
+
+def plan_key(query: str, models: Sequence[str],
+             rulebases: Sequence[str], aliases: AliasSet,
+             filter_text: str | None, order_by: str | None,
+             limit: int | None) -> PlanKey:
+    """The :class:`PlanKey` of one query.
+
+    One scan of the query text by the pattern tokenizer, no term
+    parsing, so a cache hit skips the parse stage; malformed text
+    raises :class:`~repro.errors.QueryError` here.
+    """
+    groups = scan_patterns(query)
+    if len(groups) == 1:
+        tokens = groups[0]
+        # None marks a slot: a variable token always starts with "?".
+        constants = tuple([token for token in tokens if token[0] != "?"])
+        patterns: tuple = tuple([token if token[0] == "?" else None
+                                 for token in tokens])
+    else:
+        constants, patterns = (), tuple(groups)
     alias_fingerprint = tuple(sorted(
-        (alias.namespace_id, alias.namespace_val) for alias in aliases))
-    return (query, tuple(models), tuple(rulebases), alias_fingerprint,
-            filter_text, order_by, limit)
+        (alias.namespace_id, alias.namespace_val)
+        for alias in aliases)) if len(aliases) else ()
+    return PlanKey((patterns, tuple(models), tuple(rulebases),
+                    alias_fingerprint, filter_text, order_by, limit),
+                   constants, aliases)
 
 
 class PlanCache:
-    """A keyed LRU cache of :class:`QueryPlan` objects.
+    """A keyed LRU cache of :class:`QueryPlan` templates, one per shape.
 
     Entries carry the ``data_version`` they were planned under; a
     lookup against a newer version drops the entry (statistics, and
     possibly constant VALUE_IDs, are stale).  One instance lives on
-    the :class:`~repro.core.store.RDFStore` (``store.plan_cache``).
+    the :class:`~repro.core.store.RDFStore` (``store.plan_cache``),
+    resolving constants through that store's ``values``.
 
     Thread-safe: the OrderedDict LRU bookkeeping (``move_to_end``,
     eviction) and the hit/miss counters run under an RLock, so pooled
     server readers can share a store without corrupting the cache.
+    Binding happens outside the lock and never touches the template.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
+    def __init__(self, values: "ValueStore | None" = None,
+                 capacity: int = 256) -> None:
+        self._values = values
         self._capacity = capacity
-        self._plans: OrderedDict[tuple, QueryPlan] = OrderedDict()
+        self._plans: OrderedDict[Hashable, QueryPlan] = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -185,8 +300,15 @@ class PlanCache:
         with self._lock:
             return len(self._plans)
 
-    def lookup(self, key: tuple, data_version: int) -> QueryPlan | None:
-        """The cached plan for ``key``, or None (counted as a miss)."""
+    def lookup(self, key: Hashable, data_version: int
+               ) -> QueryPlan | None:
+        """The cached plan for ``key`` bound to the key's constants, or
+        None (counted as a miss).
+
+        Each constant token is parsed and resolved to its VALUE_ID on
+        every call, so the returned plan's ``sql``/``params`` answer
+        this query; an unknown constant returns an impossible plan.
+        """
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None and plan.data_version != data_version:
@@ -198,9 +320,14 @@ class PlanCache:
                 return None
             self._plans.move_to_end(key)
             self.hits += 1
+        if not (isinstance(key, PlanKey) and key.constants):
             return plan
+        aliases = key.aliases
+        return plan.bind([parse_component(token, aliases)
+                          for token in key.constants],
+                         self._values.find_id)
 
-    def store(self, key: tuple, plan: QueryPlan) -> None:
+    def store(self, key: Hashable, plan: QueryPlan) -> None:
         with self._lock:
             self._plans[key] = plan
             self._plans.move_to_end(key)
@@ -396,47 +523,33 @@ def build_plan(store: "RDFStore", patterns: list[TriplePattern],
     textual pattern order, the dataset subquery inlined per pattern,
     unconditional DISTINCT, and no pushdown — the reference baseline
     for the property tests and the benchmark's before/after snapshot.
+
+    An unknown constant makes the plan impossible (``sql`` None), but
+    the statement is still compiled, in textual order: the plan is
+    also the template its shape's other constants bind to.
     """
     data_version = store.database.data_version
     model_ids = [store.models.get(name).model_id for name in models]
     index_name = resolve_rules_index(store, models, rulebases)
 
-    def _plan(**overrides: Any) -> QueryPlan:
-        base: dict[str, Any] = dict(
-            sql=None, params=(), projection={}, join_order=(),
-            reordered=False, dataset_size=None, distinct=True,
-            pushed_filter=None, residual_filter=filter_expression,
-            order_by_pushed=False, limit_pushed=False,
-            impossible_reason=None, data_version=data_version,
-            optimized=optimize, order_by=order_by, limit=limit)
-        base.update(overrides)
-        return QueryPlan(**base)
-
     # ---- stage 1: logical nodes, constants resolved to VALUE_IDs ----
     steps: list[PlannedPattern] = []
+    impossible_reason: str | None = None
     for source_index, pattern in enumerate(patterns):
-        constants: dict[str, int] = {}
+        constants: dict[str, int | None] = {}
         for position, component in zip("spo", pattern.components()):
             if isinstance(component, Variable):
                 continue
             value_id = store.values.find_id(component)
-            if value_id is None:
-                return _plan(
-                    join_order=tuple(steps),
-                    impossible_reason=f"constant {component} has no "
-                    "VALUE_ID (nothing can match)")
+            if value_id is None and impossible_reason is None:
+                impossible_reason = _unknown_constant(component)
             constants[position] = value_id
         steps.append(PlannedPattern(source_index, pattern, constants))
 
     # ---- stage 2: statistics and join order ----
     dataset_size: int | None = None
-    if optimize:
-        statistics = store.match_statistics
-        dataset_size = statistics.dataset_size(model_ids, index_name)
-        for step in steps:
-            step.estimate, step.constant_counts = \
-                statistics.estimate_rows(model_ids, step.constants,
-                                         index_name)
+    if optimize and impossible_reason is None:
+        dataset_size = _estimate(store, steps, model_ids, index_name)
         ordered = _greedy_order(steps)
     else:
         ordered = steps
@@ -461,8 +574,11 @@ def build_plan(store: "RDFStore", patterns: list[TriplePattern],
     projection: dict[str, int] = {}
     where_clauses: list[str] = []
     first_occurrence: dict[str, str] = {}
+    # (source_index, s/p/o column number) -> params index of a constant
+    slot_params: dict[tuple[int, int], int] = {}
     for step in ordered:
-        for column, component in zip("spo", step.pattern.components()):
+        for number, (column, component) in enumerate(
+                zip("spo", step.pattern.components())):
             qualified = f"{step.alias}.{column}"
             if isinstance(component, Variable):
                 name = component.name
@@ -476,6 +592,7 @@ def build_plan(store: "RDFStore", patterns: list[TriplePattern],
                         f"{qualified} AS c{len(select_columns)}")
             else:
                 where_clauses.append(f"{qualified} = ?")
+                slot_params[step.source_index, number] = len(params)
                 params.append(step.constants[column])
 
     # Lexical access for pushed filters and ORDER BY: one rdf_value$
@@ -549,14 +666,62 @@ def build_plan(store: "RDFStore", patterns: list[TriplePattern],
     sql += order_clause
     if sql_limit is not None:
         sql += f" LIMIT {sql_limit}"
+    offset = 0
     if optimize:
         sql = (f"WITH dataset AS {_NOT_MATERIALIZED}({dataset_sql}) "
                + sql)
         params = dataset_params + params
+        offset = len(dataset_params)
 
-    return _plan(sql=sql, params=tuple(params), projection=projection,
-                 join_order=tuple(ordered), reordered=reordered,
-                 dataset_size=dataset_size, distinct=distinct,
-                 pushed_filter=pushed_filter, residual_filter=residual,
-                 order_by_pushed=order_by_pushed,
-                 limit_pushed=limit_pushed)
+    return QueryPlan(
+        sql=None if impossible_reason else sql, params=tuple(params),
+        projection=projection, join_order=tuple(ordered),
+        reordered=reordered, dataset_size=dataset_size,
+        distinct=distinct, pushed_filter=pushed_filter,
+        residual_filter=residual, order_by_pushed=order_by_pushed,
+        limit_pushed=limit_pushed, impossible_reason=impossible_reason,
+        data_version=data_version, optimized=optimize,
+        order_by=order_by, limit=limit, statement=sql,
+        slots=tuple((source_index, "spo"[column], index + offset)
+                    for (source_index, column), index
+                    in sorted(slot_params.items())))
+
+
+def describe(store: "RDFStore", plan: QueryPlan, models: Sequence[str],
+             rulebases: Sequence[str]) -> QueryPlan:
+    """What EXPLAIN shows for a bound plan: its steps name its own
+    constants and, when it is possible, carry their statistics.  The
+    join order stays the template's; any other plan is returned as is.
+    """
+    if not plan.bound:
+        return plan
+    by_step: dict[int, dict[str, tuple[RDFTerm, int | None]]] = {}
+    for (source_index, position, index), term in zip(plan.slots,
+                                                      plan.bound):
+        by_step.setdefault(source_index, {})[position] = \
+            term, plan.params[index]
+    steps = [step.rebind(by_step[step.source_index])
+             if step.source_index in by_step else replace(step)
+             for step in plan.join_order]
+    dataset_size = None
+    if plan.sql is not None:
+        model_ids = [store.models.get(name).model_id for name in models]
+        dataset_size = _estimate(store, steps, model_ids,
+                                 resolve_rules_index(store, models,
+                                                     rulebases))
+    return replace(plan, join_order=tuple(steps),
+                   dataset_size=dataset_size, bound=())
+
+
+def _estimate(store: "RDFStore", steps: list[PlannedPattern],
+              model_ids: Sequence[int], index_name: str | None) -> int:
+    """Fill in each step's estimate; returns the dataset size."""
+    statistics = store.match_statistics
+    for step in steps:
+        step.estimate, step.constant_counts = statistics.estimate_rows(
+            model_ids, step.constants, index_name)
+    return statistics.dataset_size(model_ids, index_name)
+
+
+def _unknown_constant(term: RDFTerm) -> str:
+    return f"constant {term} has no VALUE_ID (nothing can match)"

@@ -60,6 +60,23 @@ class TestExplainShapes:
         # The same shape explains as a cache hit the second time.
         assert _explain(loaded, query, **kwargs).cache == "hit"
 
+    def test_shape_hit_explains_its_own_constant(self, loaded):
+        # id:JohnDoe is the object of 1 triple, id:JaneDoe of 2; both
+        # queries share one cached template.
+        first = _explain(loaded, "(?s ?p id:JohnDoe)").as_dict()
+        second = _explain(loaded, "(?s ?p id:JaneDoe)").as_dict()
+        assert first["plan_cache"] == "miss"
+        assert second["plan_cache"] == "hit"
+        assert second["query"] == "(?s ?p id:JaneDoe)"
+        step = second["plan"]["join_order"][0]
+        assert "JaneDoe" in step["pattern"]
+        assert "JohnDoe" not in step["pattern"]
+        assert step["constant_counts"] == {"o": 2}
+        assert step["estimated_rows"] == 2.0
+        assert first["plan"]["join_order"][0]["constant_counts"] == \
+            {"o": 1}
+        assert second["plan"]["dataset_size"] == 4
+
     def test_explain_does_not_execute(self, loaded):
         _explain(loaded, "(?s ?p ?o)")
         # No match.sql span ran; nothing needed resolving.  A direct

@@ -71,6 +71,8 @@ class TestParsing:
         "(a b c",
         "a b c)",
         '(?x p:a "unterminated)',
+        # Must fail in linear time, not by exponential backtracking.
+        pytest.param("(" + "a" * 50_000, id="long-unclosed"),
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(QueryError):

@@ -5,6 +5,9 @@ import pytest
 
 from repro.core.bulkload import bulk_load_ntriples
 from repro.inference.match import sdo_rdf_match
+from repro.inference.patterns import parse_pattern_list
+from repro.inference.plan import build_plan, plan_key
+from repro.rdf.namespaces import AliasSet
 
 
 @pytest.fixture
@@ -47,6 +50,50 @@ class TestCacheHits:
         assert _run(loaded, query) == []
         assert _run(loaded, query) == []
         assert loaded.plan_cache.stats()["hits"] == 1
+
+    def test_unknown_constant_does_not_poison_its_shape(self, loaded):
+        assert _run(loaded, "(id:Nobody gov:terrorSuspect ?name)") == []
+        rows = _run(loaded)  # same shape, a known subject
+        assert [row["name"] for row in rows] == ["id:JohnDoe"]
+        stats = loaded.plan_cache.stats()
+        assert stats["entries"] == 1 and stats["hits"] == 1
+
+    def test_one_template_per_single_pattern_shape(self, loaded):
+        assert _run(loaded, "(id:JohnDoe gov:age ?v)")[0]["v"] == "42"
+        assert _run(loaded, "(gov:files gov:age ?v)") == []
+        rows = _run(loaded, "(gov:files  gov:terrorSuspect ?v)")
+        assert [row["v"] for row in rows] == ["id:JohnDoe"]
+        stats = loaded.plan_cache.stats()
+        assert stats["entries"] == 1 and stats["hits"] == 2
+
+    def test_multi_pattern_queries_keep_their_constants(self, loaded):
+        _run(loaded, "(gov:files gov:terrorSuspect ?p) (?p gov:age ?a)")
+        _run(loaded, "(id:JohnDoe gov:terrorSuspect ?p) (?p gov:age ?a)")
+        assert loaded.plan_cache.stats()["entries"] == 2
+
+    def test_staged_sequence_binds_each_subject(self, loaded):
+        """The call sequence the end-to-end benchmark makes: two
+        subjects share one template, and each gets its own rows."""
+        loaded.insert_triple("cia", "id:JaneDoe", "gov:age", '"37"')
+        aliases = AliasSet()
+        answers = {}
+        for subject in ("id:JohnDoe", "id:JaneDoe"):
+            query = f"({subject} gov:age ?age)"
+            key = plan_key(query, ["cia"], (), aliases, None, None, None)
+            plan = loaded.plan_cache.lookup(key,
+                                            loaded.database.data_version)
+            if plan is None:
+                plan = build_plan(loaded,
+                                  parse_pattern_list(query, aliases),
+                                  ["cia"], ())
+                loaded.plan_cache.store(key, plan)
+            assert plan.sql is not None
+            fetched = loaded.database.query_all(plan.sql, plan.params)
+            answers[subject] = {loaded.lexical_of(raw[plan.projection[
+                "age"]]) for raw in fetched}
+        assert answers == {"id:JohnDoe": {"42"}, "id:JaneDoe": {"37"}}
+        stats = loaded.plan_cache.stats()
+        assert stats["entries"] == 1 and stats["hits"] == 1
 
     def test_naive_mode_bypasses_cache(self, loaded):
         _run(loaded, optimize=False)

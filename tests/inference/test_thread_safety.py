@@ -8,6 +8,7 @@ they corrupt their dicts or return partially-initialised state.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -90,6 +91,31 @@ class TestPlanCacheThreads:
         assert stats["hits"] > 0
         # One compile raced in per version at most; never one per call.
         assert stats["misses"] < THREADS * 25
+
+    def test_concurrent_binds_of_one_template(self, shared_store):
+        """Every thread binds its own subject against the one shared
+        template and must see only that subject's rows."""
+        sdo_rdf_match(shared_store, "(<urn:s0> ?p ?o)", ["m1"])
+        before = shared_store.plan_cache.stats()
+
+        def worker(index):
+            subject = index % 10
+            expected = {f"urn:o{i}" for i in range(subject, 40, 10)}
+            for _ in range(50):
+                rows = sdo_rdf_match(shared_store,
+                                     f"(<urn:s{subject}> ?p ?o)", ["m1"])
+                assert {row["o"] for row in rows} == expected
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = shared_store.plan_cache.stats()
+        assert stats["entries"] == 1
+        assert stats["misses"] == before["misses"]
+        assert stats["hits"] - before["hits"] == THREADS * 50
 
 
 class TestMatchStatisticsThreads:

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.store import RDFStore
+from repro.db.dburi import DBUri
 from repro.inference.match import sdo_rdf_match
+from repro.rdf.namespaces import Alias, AliasSet
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triple import Triple
 
 _NAMES = ["a", "b", "c"]
 _LITERALS = ["42", "17", "abc", "a%c"]
+_XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 
 
 def small_triples():
@@ -86,6 +89,46 @@ class TestPlannedMatchesNaive:
             cached = sdo_rdf_match(store, query, models)  # cache hit
             assert _rows_sorted(planned) == _rows_sorted(naive)
             assert _rows_sorted(cached) == _rows_sorted(naive)
+
+    @given(st.lists(small_triples(), max_size=25), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_one_shape_many_constants(self, triples, data):
+        """Single-pattern queries of one shape share one cached plan,
+        bound per call, whatever the constant: typed and tagged
+        literals, alias qnames, DBUris, unknown terms, the same
+        constant twice."""
+        store, models = _built(triples)
+        with store:
+            typed = Literal("42", datatype=URI(_XSD_INTEGER))
+            tagged = Literal("abc", language="en")
+            for index, term in enumerate((typed, tagged)):
+                store.insert_triple_obj("m", Triple(
+                    URI(f"n:{_NAMES[index]}"), URI("p:tag"), term))
+            link = store.insert_triple_obj("m", Triple(
+                URI("n:a"), URI("p:a"), URI("n:b"))).rdf_t_id
+            # The provenance probe: (?who <curatedBy> <DBUri>).
+            store.assert_about("m", "n:curator", "p:curatedBy", link)
+            aliases = AliasSet([Alias("al", "n:")])
+            constants = data.draw(st.lists(st.sampled_from(
+                [f"n:{name}" for name in _NAMES]
+                + [f"al:{name}" for name in _NAMES]
+                + [f'"{value}"' for value in _LITERALS]
+                + [str(typed), '"42"^^xsd:integer', str(tagged),
+                   f"<{DBUri.for_link(link).text}>",
+                   f"<{DBUri.for_link(link + 999).text}>",
+                   "n:unknown", "n:curator"]),
+                min_size=1, max_size=12))
+            shapes = ["({c} ?p ?o)", "(?s ?p {c})", "({c} ?p {c})"]
+            for shape in shapes:
+                for constant in constants:
+                    query = shape.format(c=constant)
+                    naive = sdo_rdf_match(store, query, models,
+                                          aliases=aliases, optimize=False)
+                    planned = sdo_rdf_match(store, query, models,
+                                            aliases=aliases)
+                    assert _rows_sorted(planned) == _rows_sorted(naive), \
+                        query
+            assert store.plan_cache.stats()["entries"] == len(shapes)
 
     @given(st.lists(small_triples(), max_size=25), filters())
     @settings(max_examples=60, deadline=None)
