@@ -13,10 +13,11 @@ middle of it:
    join-connected patterns over cross products.
 2. SQL generation emits the triples-dataset subquery **once** as a
    CTE (``WITH dataset AS NOT MATERIALIZED (...)``) instead of
-   inlining it per pattern, pushes translatable filter comparisons,
-   ORDER BY, and LIMIT down into SQL, and skips ``DISTINCT`` when the
-   dataset provably has no duplicate triples (single model, no
-   rulebases).
+   inlining it per pattern, joins the patterns with ``CROSS JOIN`` so
+   SQLite runs them in the planned order, pushes translatable filter
+   comparisons, ORDER BY, and LIMIT down into SQL, and skips
+   ``DISTINCT`` when the dataset provably has no duplicate triples
+   (single model, no rulebases).
 3. :class:`PlanCache` keeps one compiled plan per query *shape*
    (:func:`plan_key`), checked against the database's
    ``data_version``.  A single-pattern query's constants are slots of
@@ -561,14 +562,9 @@ def build_plan(store: "RDFStore", patterns: list[TriplePattern],
     # ---- stage 3: SQL generation ----
     dataset_sql, dataset_params = _dataset_sql(store, model_ids,
                                                index_name)
-    params: list = []
-    if optimize:
-        from_items = [f"dataset {step.alias}" for step in ordered]
-    else:
-        from_items = [f"({dataset_sql}) {step.alias}"
-                      for step in ordered]
-        for _ in ordered:
-            params.extend(dataset_params)
+    # The naive compile inlines the dataset, with its parameters, once
+    # per pattern.
+    params: list = [] if optimize else dataset_params * len(ordered)
 
     select_columns: list[str] = []
     projection: dict[str, int] = {}
@@ -597,17 +593,20 @@ def build_plan(store: "RDFStore", patterns: list[TriplePattern],
 
     # Lexical access for pushed filters and ORDER BY: one rdf_value$
     # join per variable (value_id is its primary key, so the join can
-    # never duplicate rows).
+    # never duplicate rows), placed right after the pattern that binds
+    # the variable so a pushed filter prunes before the next pattern.
     value_aliases: dict[str, str] = {}
+    value_joins: dict[str, list[str]] = {}  # pattern alias -> joins
 
     def lexical_of(variable: str) -> str:
         alias = value_aliases.get(variable)
         if alias is None:
             alias = f"v{len(value_aliases)}"
             value_aliases[variable] = alias
-            from_items.append(f'"rdf_value$" {alias}')
-            where_clauses.append(
-                f"{alias}.value_id = {first_occurrence[variable]}")
+            binder = first_occurrence[variable]
+            value_joins.setdefault(binder.split(".")[0], []).append(
+                f'"rdf_value$" {alias}')
+            where_clauses.append(f"{alias}.value_id = {binder}")
         return f"COALESCE({alias}.long_value, {alias}.value_name)"
 
     pushed_filter: str | None = None
@@ -659,8 +658,18 @@ def build_plan(store: "RDFStore", patterns: list[TriplePattern],
         sql_limit = limit
         limit_pushed = True
 
+    if optimize:
+        # SQLite never reorders a CROSS JOIN, so the plan runs in the
+        # greedy order its exact per-constant counts chose.
+        from_sql = " CROSS JOIN ".join(
+            item for step in ordered
+            for item in (f"dataset {step.alias}",
+                         *value_joins.get(step.alias, ())))
+    else:
+        from_sql = ", ".join(f"({dataset_sql}) {step.alias}"
+                             for step in ordered)
     sql = f"SELECT {'DISTINCT ' if distinct else ''}" \
-        f"{', '.join(select_columns)} FROM {', '.join(from_items)}"
+        f"{', '.join(select_columns)} FROM {from_sql}"
     if where_clauses:
         sql += " WHERE " + " AND ".join(where_clauses)
     sql += order_clause

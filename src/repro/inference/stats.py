@@ -11,16 +11,13 @@ the planner (:mod:`repro.inference.plan`) orders joins by:
 * per-constant counts — how many dataset triples carry a given
   VALUE_ID in the subject, predicate, or object position.
 
-Every count is one indexed ``COUNT(*)`` (``rdf_link_spo``,
-``rdf_link_pos``, ``rdf_link_osp``) and is cached.  The cache is keyed
-on the database's :attr:`~repro.db.connection.Database.data_version`
-counter, so any insert, delete, bulk load, model drop, or rules-index
-change starts a fresh set of figures.
-
-Object-position counts use ``canon_end_node_id`` (the only indexed
-object column); for non-canonical literal objects the figure is an
-approximation.  That is fine — estimates steer join order, they never
-decide membership, so a bad estimate costs speed, not correctness.
+Every count is one cached, indexed ``COUNT(*)`` over the column the
+matcher reads (``rdf_link_uniq`` for subjects, ``rdf_link_pos`` for
+predicates, ``rdf_link_osp`` for objects' ``end_node_id``), so each
+figure is exact.  The cache is keyed on the database's
+:attr:`~repro.db.connection.Database.data_version` counter, so any
+insert, delete, bulk load, model drop, or rules-index change starts a
+fresh set of figures.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _POSITION_COLUMNS = {
     "s": "start_node_id",
     "p": "p_value_id",
-    "o": "canon_end_node_id",
+    "o": "end_node_id",
 }
 
 
@@ -111,11 +108,8 @@ class MatchStatistics:
 
     def constant_count(self, model_ids: Sequence[int], position: str,
                        value_id: int) -> int:
-        """Dataset triples with ``value_id`` at ``position`` (s/p/o).
-
-        Each position uses its access-path index; the object position
-        counts the canonical object column (see module docstring).
-        """
+        """Dataset triples with ``value_id`` at ``position`` (s/p/o),
+        counted on that position's access-path index."""
         column = _POSITION_COLUMNS[position]
         models = tuple(sorted(model_ids))
         placeholders = ", ".join("?" for _ in models)

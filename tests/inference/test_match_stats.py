@@ -3,7 +3,9 @@
 import pytest
 
 from repro.inference.stats import MatchStatistics
-from repro.rdf.terms import URI
+from repro.rdf.terms import Literal, URI
+
+_XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 
 
 @pytest.fixture
@@ -57,6 +59,20 @@ class TestConstantCount:
         obj = loaded.values.find_id(URI("id:JohnDoe"))
         assert stats.constant_count(_model_ids(loaded, "cia"), "o",
                                     obj) == 1
+
+    def test_non_canonical_object_count_is_exact(self, loaded):
+        """"01"^^xsd:integer and "1"^^xsd:integer share a canonical
+        form; the count keys the stored object, as matching does."""
+        loaded.insert_triple("cia", "id:A", "gov:rank",
+                             '"01"^^xsd:integer')
+        loaded.insert_triple("cia", "id:B", "gov:rank",
+                             '"1"^^xsd:integer')
+        stats = MatchStatistics(loaded)
+        models = _model_ids(loaded, "cia")
+        for lexical in ("01", "1"):
+            obj = loaded.values.find_id(Literal(lexical,
+                                                datatype=URI(_XSD_INT)))
+            assert stats.constant_count(models, "o", obj) == 1
 
 
 class TestEstimateRows:

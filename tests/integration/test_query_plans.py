@@ -10,6 +10,16 @@ import pytest
 
 from repro.bench.datasets import load_oracle_uniprot
 from repro.core.schema import LINK_TABLE
+from repro.core.store import RDFStore
+from repro.db.dburi import DBUri
+from repro.inference.filters import parse_filter
+from repro.inference.patterns import parse_pattern_list
+from repro.inference.plan import build_plan
+from repro.rdf.namespaces import AliasSet
+
+_CURATED_BY = "urn:curatedBy"
+_STATEMENT = ("<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+              "<http://www.w3.org/1999/02/22-rdf-syntax-ns#Statement>")
 
 
 def plan_for(database, sql, params=()):
@@ -39,7 +49,7 @@ class TestAccessPaths:
             fixture.store.database,
             f'SELECT * FROM "{LINK_TABLE}" WHERE model_id = ? '
             "AND start_node_id = ?", (1, 1))
-        assert "rdf_link_spo" in plan or "rdf_link_uniq" in plan
+        assert "rdf_link_uniq" in plan
 
     def test_apptable_indexed_lookup(self, fixture):
         # The section 7.2 function-based index backs this query.
@@ -87,3 +97,87 @@ class TestAccessPaths:
             "WHERE subj = ? AND prop = ? AND obj = ?", ("a", "b", "c"))
         assert "jena_uniprot_reif_spo" in plan
         jena.jena.close()
+
+
+@pytest.fixture(scope="module")
+def reified():
+    """Half of 1,200 multi-valued statements reified, each curated by
+    one of 20 curators.  ``(?r rdf:type rdf:Statement)`` holds 600
+    rows, but ``sqlite_stat1``'s per-index averages make an exact
+    ``(p, o)`` seek look like fewer rows than a ``(s, p)`` one."""
+    store = RDFStore()
+    store.create_model("m")
+    with store.database.transaction():
+        for i in range(1_200):
+            link = store.insert_triple(
+                "m", f"<urn:s{i // 4}>", "<urn:kw>", f"<urn:o{i}>")
+            if i % 2:
+                store.assert_about("m", f"<urn:c{i // 2 % 20}>",
+                                   f"<{_CURATED_BY}>", link.rdf_t_id)
+    store.database.analyze()
+    yield store
+    store.close()
+
+
+def match_plan(store, query, filter_text=None):
+    """The planner's plan for ``query`` over model m, and its EXPLAIN
+    QUERY PLAN ``SEARCH``/``SCAN`` lines."""
+    plan = build_plan(store, parse_pattern_list(query, AliasSet()),
+                      ["m"], [], filter_text and parse_filter(filter_text))
+    rows = store.database.query_all(f"EXPLAIN QUERY PLAN {plan.sql}",
+                                    plan.params)
+    return plan, [row["detail"] for row in rows
+                  if row["detail"].startswith(("SEARCH", "SCAN"))]
+
+
+class TestObjectAccessPaths:
+    """Every object-bound pattern seeks ``end_node_id``, the column the
+    dataset exposes as ``o``; no plan scans for it."""
+
+    def test_bound_predicate_and_object_seek_three_columns(self, reified):
+        _, lines = match_plan(reified, "(?s <urn:kw> <urn:o1>)")
+        assert lines == ["SEARCH rdf_link$ USING INDEX rdf_link_pos "
+                         "(model_id=? AND p_value_id=? AND "
+                         "end_node_id=?)"]
+
+    def test_bound_object_alone_seeks_osp(self, reified):
+        _, lines = match_plan(reified, "(?s ?p <urn:o1>)")
+        assert len(lines) == 1
+        assert "rdf_link_osp (model_id=? AND end_node_id=?)" in lines[0]
+
+    def test_provenance_probe_seeks_three_columns(self, reified):
+        link = reified.find_link("m", "<urn:s0>", "<urn:kw>", "<urn:o1>")
+        _, lines = match_plan(
+            reified, f"(?who <{_CURATED_BY}> "
+                     f"<{DBUri.for_link(link.link_id).text}>)")
+        assert lines == ["SEARCH rdf_link$ USING INDEX rdf_link_pos "
+                         "(model_id=? AND p_value_id=? AND "
+                         "end_node_id=?)"]
+
+
+class TestJoinOrderExecuted:
+    def test_reif_join_runs_in_planned_order(self, reified):
+        plan, lines = match_plan(
+            reified, f"(?r {_STATEMENT}) "
+                     f"(<urn:c7> <{_CURATED_BY}> ?r)")
+        assert plan.join_order[0].source_index == 1  # the curator's
+        assert len(lines) == 2
+        assert lines[0] == ("SEARCH rdf_link$ USING COVERING INDEX "
+                            "rdf_link_uniq (model_id=? AND "
+                            "start_node_id=? AND p_value_id=?)")
+
+    def test_filter_lookup_follows_its_binding_pattern(self, reified):
+        """A pushed filter's rdf_value$ lookup runs right after the
+        pattern that binds its variable, before the next pattern."""
+        plan, lines = match_plan(
+            reified, "(?s <urn:kw> ?o) (?s <urn:kw> <urn:o1>)",
+            '?o LIKE "urn:o1%"')
+        assert plan.join_order[0].source_index == 1
+        assert plan.pushed_filter is not None
+        assert [line.split(" USING")[0] for line in lines] == \
+            ["SEARCH rdf_link$", "SEARCH rdf_link$", "SEARCH v0"]
+        plan, lines = match_plan(
+            reified, "(?s <urn:kw> <urn:o1>) (?s <urn:kw> ?o)",
+            '?s LIKE "urn:s%"')
+        assert [line.split(" USING")[0] for line in lines] == \
+            ["SEARCH rdf_link$", "SEARCH v0", "SEARCH rdf_link$"]

@@ -45,6 +45,35 @@ def queries():
     return st.lists(pattern, min_size=1, max_size=3).map(" ".join)
 
 
+#: Typed literals sharing one canonical form, the reified statement's
+#: DBUri (``{dburi}``, filled in per store) and a URI.
+_BOUND_OBJECTS = ['"01"^^xsd:integer', '"1"^^xsd:integer', "<{dburi}>",
+                  "n:a"]
+
+
+def bound_object_queries():
+    """2-3 pattern joins whose objects are bound: non-canonical typed
+    literals, the provenance shape's DBUri, a URI."""
+    pattern = st.builds(lambda s, p, o: f"({s} {p} {o})",
+                        st.sampled_from(["?v0", "?v1", "n:curator"]),
+                        st.sampled_from(["?v2", "p:a", "p:curatedBy"]),
+                        st.sampled_from(_BOUND_OBJECTS))
+    return st.lists(pattern, min_size=2, max_size=3).map(" ".join)
+
+
+def _add_bound_objects(store, models):
+    """Typed literals sharing one canonical form, and a reified
+    statement with its provenance; returns the statement's DBUri."""
+    for model in models:
+        store.insert_triple(model, "n:a", "p:a", '"01"^^xsd:integer')
+    store.insert_triple("m", "n:b", "p:a", '"1"^^xsd:integer')
+    store.insert_triple("m", "n:c", "p:b", '"01"^^xsd:integer')
+    link = store.insert_triple_obj("m", Triple(
+        URI("n:a"), URI("p:b"), URI("n:c"))).rdf_t_id
+    store.assert_about("m", "n:curator", "p:curatedBy", link)
+    return DBUri.for_link(link).text
+
+
 def filters():
     """Filters mixing pushable (string/LIKE) and residual (numeric)
     clauses over ?v0."""
@@ -78,12 +107,14 @@ def _built(triples, split_models=False):
 
 
 class TestPlannedMatchesNaive:
-    @given(st.lists(small_triples(), max_size=25), queries(),
-           st.booleans())
+    @given(st.lists(small_triples(), max_size=25),
+           st.one_of(queries(), bound_object_queries()), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_rows_identical(self, triples, query, split_models):
         store, models = _built(triples, split_models)
         with store:
+            query = query.replace("{dburi}",
+                                  _add_bound_objects(store, models))
             naive = sdo_rdf_match(store, query, models, optimize=False)
             planned = sdo_rdf_match(store, query, models)
             cached = sdo_rdf_match(store, query, models)  # cache hit
