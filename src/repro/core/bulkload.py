@@ -6,12 +6,17 @@ the loading process) before triples are inserted.  This module
 implements that pipeline:
 
 1. parse the input (N-Triples file/stream or an iterable of triples)
-   into the staging table ``rdf_stage$``;
-2. merge new text values into ``rdf_value$`` set-wise (one INSERT ...
-   SELECT instead of one lookup per component);
-3. register nodes and insert the new link rows set-wise, deduplicating
-   against existing triples of the model;
-4. drop the staging rows.
+   and give each distinct term a small integer *stage key*: one row per
+   new term in ``rdf_stage_value$``, one row of keys per triple in
+   ``rdf_stage$``.  Both are TEMP tables, so staging never reaches the
+   main database file or its WAL;
+2. merge the staged values into ``rdf_value$`` set-wise (one INSERT ...
+   SELECT instead of one lookup per component) and read back each
+   stage key's VALUE_ID;
+3. register nodes and insert the new link rows set-wise, joining the
+   staged keys on their integer primary key and deduplicating against
+   existing triples of the model;
+4. delete the staging rows.
 
 For large inputs this is much faster than the row-at-a-time
 :meth:`repro.core.store.RDFStore.insert_triple` path (the LOAD
@@ -21,6 +26,7 @@ the paper mentions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -34,26 +40,37 @@ from repro.core.schema import (
 )
 from repro.core.store import RDFStore
 from repro.core.values import _decompose
+from repro.db.dburi import is_dburi
 from repro.rdf.canonical import canonical_term
 from repro.rdf.ntriples import parse_ntriples
+from repro.rdf.terms import RDFTerm
 from repro.rdf.triple import Triple
 
 STAGE_TABLE = "rdf_stage$"
+STAGE_VALUE_TABLE = "rdf_stage_value$"
 
-_STAGE_DDL = f"""
-CREATE TABLE IF NOT EXISTS "{STAGE_TABLE}" (
-    stage_id   INTEGER PRIMARY KEY,
-    s_name     TEXT NOT NULL, s_type TEXT NOT NULL,
-    s_ltype    TEXT, s_lang TEXT, s_long TEXT,
-    p_name     TEXT NOT NULL, p_type TEXT NOT NULL,
-    p_ltype    TEXT, p_lang TEXT, p_long TEXT,
-    o_name     TEXT NOT NULL, o_type TEXT NOT NULL,
-    o_ltype    TEXT, o_lang TEXT, o_long TEXT,
-    c_name     TEXT NOT NULL, c_type TEXT NOT NULL,
-    c_ltype    TEXT, c_lang TEXT, c_long TEXT,
-    link_type  TEXT NOT NULL
-);
-"""
+#: Distinct terms the staging pass remembers before it starts over.
+#: A term seen again after that is staged a second time under a new
+#: key; both keys resolve to the same VALUE_ID, so the bound costs
+#: staging rows, never a wrong id.
+KEY_MAP_BOUND = 100_000
+
+_VALUE_COLUMNS = ("value_name, value_type, literal_type, language_type,"
+                  " long_value")
+
+# Single CREATE statements: execute() keeps them legal inside an open
+# transaction scope (executescript would not be).
+_STAGE_DDL = (
+    f'CREATE TEMP TABLE IF NOT EXISTS "{STAGE_VALUE_TABLE}" ('
+    " stage_key INTEGER PRIMARY KEY,"
+    " value_name TEXT NOT NULL, value_type TEXT NOT NULL,"
+    " literal_type TEXT, language_type TEXT, long_value TEXT,"
+    " value_id INTEGER)",
+    f'CREATE TEMP TABLE IF NOT EXISTS "{STAGE_TABLE}" ('
+    " s_key INTEGER NOT NULL, p_key INTEGER NOT NULL,"
+    " o_key INTEGER NOT NULL, c_key INTEGER NOT NULL,"
+    " link_type TEXT NOT NULL, reif_link TEXT NOT NULL)",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,9 +92,8 @@ class BulkLoader:
         self._db = store.database
         self._model = store.models.get(model_name)
         self._batch_size = batch_size
-        # A single CREATE TABLE: execute() keeps it legal inside an
-        # open transaction scope (executescript would not be).
-        self._db.execute(_STAGE_DDL)
+        for ddl in _STAGE_DDL:
+            self._db.execute(ddl)
 
     # ------------------------------------------------------------------
     # entry points
@@ -135,8 +151,7 @@ class BulkLoader:
                     with observer.span("bulkload.merge_links") as ml_span:
                         new_links = self._merge_links()
                         ml_span.set("new_links", new_links)
-                    self._fix_reif_flags()
-                    self._db.execute(f'DELETE FROM "{STAGE_TABLE}"')
+                    self._clear_stage()
                     if new_links:
                         self._store.links.bump_model_version(
                             self._model.model_id)
@@ -184,6 +199,10 @@ class BulkLoader:
         return [Triple(terms[row[0]], terms[row[1]], terms[row[2]])
                 for row in rows]
 
+    def _clear_stage(self) -> None:
+        self._db.execute(f'DELETE FROM "{STAGE_TABLE}"')
+        self._db.execute(f'DELETE FROM "{STAGE_VALUE_TABLE}"')
+
     def _discard_staged(self) -> None:
         """Drop staging rows after a failed load.
 
@@ -197,7 +216,7 @@ class BulkLoader:
         from repro.errors import StorageError
 
         try:
-            self._db.execute(f'DELETE FROM "{STAGE_TABLE}"')
+            self._clear_stage()
         except StorageError:  # pragma: no cover - dead connection
             pass
 
@@ -206,164 +225,126 @@ class BulkLoader:
     # ------------------------------------------------------------------
 
     def _stage(self, triples: Iterable[Triple]) -> int:
-        rows: list[tuple] = []
-        staged = 0
-        insert_sql = (
-            f'INSERT INTO "{STAGE_TABLE}" '
-            "(s_name, s_type, s_ltype, s_lang, s_long,"
-            " p_name, p_type, p_ltype, p_lang, p_long,"
-            " o_name, o_type, o_ltype, o_lang, o_long,"
-            " c_name, c_type, c_ltype, c_lang, c_long, link_type)"
-            " VALUES (" + ", ".join("?" * 21) + ")")
+        """Key every distinct term once and stage each triple as keys.
+
+        RDF inputs repeat subjects, predicates and objects heavily, so
+        a term is decomposed, classified and written once per key, not
+        once per triple.  REIF_LINK is decided here, exactly, with the
+        DBUri grammar the integrity checker enforces.
+        """
+        value_sql = (f'INSERT INTO "{STAGE_VALUE_TABLE}" '
+                     f"(stage_key, {_VALUE_COLUMNS}) "
+                     "VALUES (?, ?, ?, ?, ?, ?)")
+        insert_sql = (f'INSERT INTO "{STAGE_TABLE}" '
+                      "(s_key, p_key, o_key, c_key, link_type, reif_link)"
+                      " VALUES (?, ?, ?, ?, ?, ?)")
         batch_counter = self._db.observer.counter(
             "bulkload.batches", "staging batches written")
-        # Per-term memoisation: RDF inputs repeat subjects, predicates
-        # and objects heavily, and this loop is the load's dominant
-        # Python cost (decompose + classify per component).  Bounded —
-        # a pathological all-distinct input cannot grow them without
-        # limit.
-        dec_cache: dict = {}
-        canon_cache: dict = {}
-        type_cache: dict = {}
+        value_rows: list[tuple] = []
+        rows: list[tuple] = []
+        staged = 0
+        # term -> (stage key, is a DBUri); object -> canonical key.
+        keys: dict[RDFTerm, tuple[int, bool]] = {}
+        canon_keys: dict[RDFTerm, int] = {}
+        link_types: dict[RDFTerm, str] = {}
+
+        next_key = itertools.count(1).__next__
+
+        def stage_term(term: RDFTerm) -> tuple[int, bool]:
+            if len(keys) >= KEY_MAP_BOUND:
+                keys.clear()
+                canon_keys.clear()
+            row = _decompose(term)
+            key = next_key()
+            value_rows.append((key,) + row)
+            entry = keys[term] = (key, is_dburi(row[0]))
+            return entry
+
+        def canon_key(obj: RDFTerm) -> int:
+            canonical = canonical_term(obj)
+            key = canon_keys[obj] = \
+                (keys.get(canonical) or stage_term(canonical))[0]
+            return key
+
+        def flush() -> None:
+            if value_rows:
+                self._db.executemany(value_sql, value_rows)
+            self._db.executemany(insert_sql, rows)
+            batch_counter.inc()
+            value_rows.clear()
+            rows.clear()
+
         for triple in triples:
             subject, predicate, obj = (triple.subject, triple.predicate,
                                        triple.object)
-            s_row = dec_cache.get(subject)
-            if s_row is None:
-                s_row = dec_cache[subject] = _decompose(subject)
-            p_row = dec_cache.get(predicate)
-            if p_row is None:
-                p_row = dec_cache[predicate] = _decompose(predicate)
-            o_row = dec_cache.get(obj)
-            if o_row is None:
-                o_row = dec_cache[obj] = _decompose(obj)
-            c_row = canon_cache.get(obj)
-            if c_row is None:
-                c_row = canon_cache[obj] = _decompose(
-                    canonical_term(obj))
-            link_type = type_cache.get(predicate)
+            s_key, s_ref = keys.get(subject) or stage_term(subject)
+            p_key, p_ref = keys.get(predicate) or stage_term(predicate)
+            o_key, o_ref = keys.get(obj) or stage_term(obj)
+            c_key = canon_keys.get(obj) or canon_key(obj)
+            link_type = link_types.get(predicate)
             if link_type is None:
-                link_type = type_cache[predicate] = \
+                link_type = link_types[predicate] = \
                     LinkType.for_predicate(predicate).value
-            rows.append(s_row + p_row + o_row + c_row + (link_type,))
+            rows.append((s_key, p_key, o_key, c_key, link_type,
+                         "Y" if s_ref or p_ref or o_ref else "N"))
             staged += 1
             if len(rows) >= self._batch_size:
-                self._db.executemany(insert_sql, rows)
-                batch_counter.inc()
-                rows = []
-                if len(dec_cache) > 100_000:
-                    dec_cache.clear()
-                    canon_cache.clear()
+                flush()
         if rows:
-            self._db.executemany(insert_sql, rows)
-            batch_counter.inc()
+            flush()
         return staged
 
     def _merge_values(self) -> int:
-        """INSERT ... SELECT the distinct new text values."""
-        before = self._db.row_count(VALUE_TABLE)
-        for role in ("s", "p", "o", "c"):
-            self._db.execute(
-                f'INSERT OR IGNORE INTO "{VALUE_TABLE}" '
-                "(value_name, value_type, literal_type, language_type,"
-                " long_value) "
-                f"SELECT DISTINCT {role}_name, {role}_type, "
-                f"{role}_ltype, {role}_lang, {role}_long "
-                f'FROM "{STAGE_TABLE}"')
-        return self._db.row_count(VALUE_TABLE) - before
-
-    def _value_join(self, role: str, alias: str) -> str:
-        """Join predicate matching a staged component to rdf_value$."""
-        return (f"{alias}.value_name = st.{role}_name "
-                f"AND {alias}.value_type = st.{role}_type "
-                f"AND IFNULL({alias}.literal_type, '') "
-                f"= IFNULL(st.{role}_ltype, '') "
-                f"AND IFNULL({alias}.language_type, '') "
-                f"= IFNULL(st.{role}_lang, '') "
-                f"AND IFNULL({alias}.long_value, '') "
-                f"= IFNULL(st.{role}_long, '')")
+        """INSERT ... SELECT the staged values, then key them to ids."""
+        new_values = self._db.execute(
+            f'INSERT OR IGNORE INTO "{VALUE_TABLE}" ({_VALUE_COLUMNS}) '
+            f'SELECT {_VALUE_COLUMNS} FROM "{STAGE_VALUE_TABLE}"'
+        ).rowcount
+        # The match runs through rdf_value_uniq, whose key is these
+        # very expressions.
+        self._db.execute(
+            f'UPDATE "{STAGE_VALUE_TABLE}" AS sv SET value_id = ('
+            f'SELECT v.value_id FROM "{VALUE_TABLE}" v '
+            "WHERE v.value_name = sv.value_name "
+            "AND v.value_type = sv.value_type "
+            "AND IFNULL(v.literal_type, '') = IFNULL(sv.literal_type, '') "
+            "AND IFNULL(v.language_type, '') "
+            "= IFNULL(sv.language_type, '') "
+            "AND IFNULL(v.long_value, '') = IFNULL(sv.long_value, ''))")
+        return new_values
 
     def _merge_links(self) -> int:
         """Register nodes and insert the deduplicated link rows."""
+        model_id = self._model.model_id
         # Nodes: every staged subject and object value.
-        for role in ("s", "o"):
-            self._db.execute(
-                f'INSERT OR IGNORE INTO "{NODE_TABLE}" '
-                "(node_id, node_type) "
-                f"SELECT DISTINCT v.value_id, v.value_type "
-                f'FROM "{STAGE_TABLE}" st JOIN "{VALUE_TABLE}" v '
-                f"ON {self._value_join(role, 'v')}")
-            # Blank nodes of this model.
-            self._db.execute(
-                f'INSERT OR IGNORE INTO "{BLANK_NODE_TABLE}" '
-                "(value_id, model_id, orig_label) "
-                f"SELECT DISTINCT v.value_id, ?, "
-                f"SUBSTR(st.{role}_name, 3) "
-                f'FROM "{STAGE_TABLE}" st JOIN "{VALUE_TABLE}" v '
-                f"ON {self._value_join(role, 'v')} "
-                f"WHERE st.{role}_type = 'BN'",
-                (self._model.model_id,))
-        before = self._db.row_count(LINK_TABLE)
-        # COST starts at 0: bulk-loaded triples have no application rows.
-        distinct_links = (
-            "SELECT DISTINCT sv.value_id AS s_id, pv.value_id AS p_id, "
-            "ov.value_id AS o_id, cv.value_id AS c_id, st.link_type "
-            "AS link_type, "
-            "CASE WHEN st.s_name LIKE '/ORADB/%' "
-            "OR st.p_name LIKE '/ORADB/%' "
-            "OR st.o_name LIKE '/ORADB/%' THEN 'Y' ELSE 'N' END "
-            "AS reif_link "
-            f'FROM "{STAGE_TABLE}" st '
-            f'JOIN "{VALUE_TABLE}" sv ON {self._value_join("s", "sv")} '
-            f'JOIN "{VALUE_TABLE}" pv ON {self._value_join("p", "pv")} '
-            f'JOIN "{VALUE_TABLE}" ov ON {self._value_join("o", "ov")} '
-            f'JOIN "{VALUE_TABLE}" cv ON {self._value_join("c", "cv")}')
         self._db.execute(
+            f'INSERT OR IGNORE INTO "{NODE_TABLE}" (node_id, node_type) '
+            f'SELECT value_id, value_type FROM "{STAGE_VALUE_TABLE}" '
+            f'WHERE stage_key IN (SELECT s_key FROM "{STAGE_TABLE}" '
+            f'UNION ALL SELECT o_key FROM "{STAGE_TABLE}")')
+        # Blank nodes of this model: a blank node is only ever a
+        # subject or an object, and is its own canonical form.
+        self._db.execute(
+            f'INSERT OR IGNORE INTO "{BLANK_NODE_TABLE}" '
+            "(value_id, model_id, orig_label) "
+            "SELECT value_id, ?, SUBSTR(value_name, 3) "
+            f'FROM "{STAGE_VALUE_TABLE}" WHERE value_type = \'BN\'',
+            (model_id,))
+        # COST starts at 0: bulk-loaded triples have no application rows.
+        # rdf_link_uniq drops a triple staged twice or already stored.
+        return self._db.execute(
             f'INSERT OR IGNORE INTO "{LINK_TABLE}" '
             "(start_node_id, p_value_id, end_node_id,"
             " canon_end_node_id, link_type, cost, context,"
             " reif_link, model_id) "
-            "SELECT s_id, p_id, o_id, c_id, link_type, 0, 'D', "
-            f"reif_link, ? FROM ({distinct_links})",
-            (self._model.model_id,))
-        return self._db.row_count(LINK_TABLE) - before
-
-    def _fix_reif_flags(self) -> None:
-        """Reconcile REIF_LINK with the strict DBUri grammar.
-
-        The SQL merge approximates DBUri detection with a LIKE prefix;
-        the few candidate rows (any component starting ``/ORADB/``) are
-        re-checked here with the real parser so the flag always agrees
-        with :func:`repro.db.dburi.is_dburi` — the invariant the
-        integrity checker enforces.
-        """
-        rows = self._db.query_all(
-            f'SELECT l.link_id, sv.value_name AS s_name, '
-            "pv.value_name AS p_name, ov.value_name AS o_name, "
-            "l.reif_link "
-            f'FROM "{LINK_TABLE}" l '
-            f'JOIN "{VALUE_TABLE}" sv ON sv.value_id = l.start_node_id '
-            f'JOIN "{VALUE_TABLE}" pv ON pv.value_id = l.p_value_id '
-            f'JOIN "{VALUE_TABLE}" ov ON ov.value_id = l.end_node_id '
-            "WHERE l.model_id = ? AND (sv.value_name LIKE '/ORADB/%' "
-            "OR pv.value_name LIKE '/ORADB/%' "
-            "OR ov.value_name LIKE '/ORADB/%')",
-            (self._model.model_id,))
-        for row in rows:
-            actual = any(_is_dburi_text(row[name])
-                         for name in ("s_name", "p_name", "o_name"))
-            flagged = row["reif_link"] == "Y"
-            if actual != flagged:
-                self._db.execute(
-                    f'UPDATE "{LINK_TABLE}" SET reif_link = ? '
-                    "WHERE link_id = ?",
-                    ("Y" if actual else "N", row["link_id"]))
-
-
-def _is_dburi_text(text: str) -> bool:
-    from repro.db.dburi import is_dburi
-
-    return is_dburi(text)
+            "SELECT s.value_id, p.value_id, o.value_id, "
+            "c.value_id, st.link_type, 0, 'D', st.reif_link, ? "
+            f'FROM "{STAGE_TABLE}" st '
+            f'JOIN "{STAGE_VALUE_TABLE}" s ON s.stage_key = st.s_key '
+            f'JOIN "{STAGE_VALUE_TABLE}" p ON p.stage_key = st.p_key '
+            f'JOIN "{STAGE_VALUE_TABLE}" o ON o.stage_key = st.o_key '
+            f'JOIN "{STAGE_VALUE_TABLE}" c ON c.stage_key = st.c_key',
+            (model_id,)).rowcount
 
 
 def bulk_load_ntriples(store: RDFStore, model_name: str,

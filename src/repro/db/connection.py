@@ -173,12 +173,20 @@ class Database:
         self._deadline_guard: DeadlineGuard | None = None
         self._observer = NULL_OBSERVER
         cursor = self._connection.cursor()
-        for pragma in self._profile.pragmas(read_only=read_only):
-            cursor.execute(pragma)
-        # Caches start empty at open, so the file as it is now is what
-        # poll_data_version() compares later commits against.
-        self._seen_data_version = cursor.execute(
-            "PRAGMA data_version").fetchone()[0]
+        try:
+            current = "" if read_only else cursor.execute(
+                "PRAGMA journal_mode").fetchone()[0]
+            for pragma in self._profile.pragmas(read_only, current):
+                cursor.execute(pragma)
+            # Caches start empty at open, so the file as it is now is
+            # what poll_data_version() compares later commits against.
+            self._seen_data_version = cursor.execute(
+                "PRAGMA data_version").fetchone()[0]
+        except sqlite3.Error as exc:
+            self._connection.close()
+            raise StorageError(
+                f"{exc} while opening {self._path} with the "
+                f"{self._profile.name} profile") from exc
         cursor.close()
         if observer is not None:
             self.set_observer(observer)

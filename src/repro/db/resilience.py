@@ -76,15 +76,19 @@ class DurabilityProfile:
     #: database file is complete on its own.
     checkpoint_on_close: bool
 
-    def pragmas(self, read_only: bool = False) -> list[str]:
+    def pragmas(self, read_only: bool = False,
+                current_journal_mode: str = "") -> list[str]:
         """The PRAGMA statements establishing this profile.
 
         A read-only (``mode=ro``) connection cannot switch journal
         modes — it inherits whatever the writer established — so that
-        pragma is omitted; the connection-local ones still apply.
+        pragma is omitted; the connection-local ones still apply.  A
+        file whose ``current_journal_mode`` is already WAL keeps WAL:
+        leaving WAL needs the file to itself, so a second opener would
+        fail while any other connection holds it.
         """
         statements = ["PRAGMA foreign_keys = ON"]
-        if not read_only:
+        if not read_only and current_journal_mode.lower() != "wal":
             statements.append(
                 f"PRAGMA journal_mode = {self.journal_mode}")
         statements.extend([

@@ -4,13 +4,18 @@ import io
 
 import pytest
 
+from repro.core import bulkload
 from repro.core.bulkload import (
     STAGE_TABLE,
+    STAGE_VALUE_TABLE,
     BulkLoader,
     bulk_load_ntriples,
 )
+from repro.core.integrity import check_integrity
 from repro.core.links import LinkType
 from repro.core.schema import NODE_TABLE
+from repro.core.store import RDFStore
+from repro.db.dburi import DBUri
 from repro.rdf.namespaces import XSD
 from repro.rdf.ntriples import serialize_ntriples
 from repro.rdf.terms import BlankNode, Literal, URI
@@ -153,6 +158,22 @@ class TestBulkLoad:
                                "p:x", "o:x")
         assert not store.links.get(fake.link_id).reif_link
 
+    def test_literal_dburi_flagged_exactly(self, store, model):
+        # REIF_LINK follows the DBUri grammar on the stored text, the
+        # rule check_integrity enforces, whatever the term's kind.
+        base = store.insert_triple(model, "s:base", "p:x", "o:base")
+        dburi = DBUri.for_link(base.rdf_t_id).text
+        BulkLoader(store, model).load([
+            Triple(URI("s:a"), URI("p:cites"), Literal(dburi)),
+            Triple(URI("s:b"), URI("p:cites"),
+                   Literal("/ORADB/MDSYS/RDF_LINK$/ROW[LINK_ID=x]")),
+        ])
+        assert check_integrity(store) == []
+        flags = dict(store.database.query_all(
+            'SELECT v.value_name, l.reif_link FROM "rdf_link$" l '
+            'JOIN "rdf_value$" v ON v.value_id = l.start_node_id'))
+        assert flags == {"s:base": "N", "s:a": "Y", "s:b": "N"}
+
     def test_rollback_on_parse_error(self, store, model):
         document = "<urn:s> <urn:p> <urn:o> .\nbroken line\n"
         from repro.errors import ParseError
@@ -160,6 +181,68 @@ class TestBulkLoad:
         with pytest.raises(ParseError):
             BulkLoader(store, model).load_stream(io.StringIO(document))
         assert store.links.count() == 0
+
+
+class TestStagingSpace:
+    """Staging lives in the temp schema: the main file never sees it."""
+
+    def test_fresh_durable_load_leaves_no_free_pages(self, tmp_path):
+        with RDFStore(tmp_path / "fresh.db",
+                      durability="durable") as store:
+            store.create_model("m")
+            report = BulkLoader(store, "m").load(
+                UniProtGenerator().triples(3_000))
+            assert report.new_links == 3_000
+            db = store.database
+            assert db.query_value("PRAGMA freelist_count") == 0
+            assert db.query_all(
+                "SELECT name FROM sqlite_master WHERE name IN (?, ?)",
+                (STAGE_TABLE, STAGE_VALUE_TABLE)) == []
+
+    def test_key_map_overflow_stores_what_row_at_a_time_stores(
+            self, monkeypatch):
+        # Terms repeat across many clears of a five-entry key map:
+        # shared subjects, predicates, a non-canonical typed literal,
+        # a blank node, a DBUri subject and an exact duplicate triple.
+        monkeypatch.setattr(bulkload, "KEY_MAP_BOUND", 5)
+        triples = list(UniProtGenerator().triples(400))
+        triples += [
+            Triple(URI("s:a"), URI("p:x"),
+                   Literal("024", datatype=XSD.int)),
+            Triple(BlankNode("b1"), URI("p:x"),
+                   Literal("024", datatype=XSD.int)),
+            Triple(URI("s:a"), URI("p:y"), BlankNode("b1")),
+            Triple(URI("/ORADB/MDSYS/RDF_LINK$/ROW[LINK_ID=1]"),
+                   URI("p:x"), URI("s:a")),
+        ] * 3
+        triples += triples[:50]
+
+        def stored(store):
+            db = store.database
+            links = {tuple(row) for row in db.query_all(
+                "SELECT sv.value_name, pv.value_name, ov.value_name,"
+                " cv.value_name, cv.literal_type, l.link_type,"
+                " l.reif_link, l.context "
+                'FROM "rdf_link$" l '
+                'JOIN "rdf_value$" sv ON sv.value_id = l.start_node_id '
+                'JOIN "rdf_value$" pv ON pv.value_id = l.p_value_id '
+                'JOIN "rdf_value$" ov ON ov.value_id = l.end_node_id '
+                'JOIN "rdf_value$" cv '
+                "ON cv.value_id = l.canon_end_node_id")}
+            counts = {table: db.row_count(table) for table in (
+                "rdf_link$", "rdf_value$", "rdf_node$",
+                "rdf_blank_node$")}
+            return set(store.iter_model_triples("m")), links, counts
+
+        with RDFStore() as bulk, RDFStore() as reference:
+            for target in (bulk, reference):
+                target.create_model("m")
+            report = BulkLoader(bulk, "m", batch_size=7).load(triples)
+            for triple in triples:
+                reference.insert_triple_obj("m", triple)
+            assert report.new_links == reference.links.count()
+            assert stored(bulk) == stored(reference)
+            assert check_integrity(bulk) == []
 
 
 class TestStagingCleanup:

@@ -83,6 +83,27 @@ class TestProfilePragmas:
             assert store.database.durability == "durable"
             store.create_model("m")
 
+    def test_opener_of_a_held_wal_file_keeps_wal(self, tmp_path,
+                                                  monkeypatch):
+        # Leaving WAL needs the file to itself; an ephemeral opener
+        # used to fail with "database is locked" while a durable
+        # connection held it.
+        monkeypatch.delenv("REPRO_DURABILITY", raising=False)
+        path = tmp_path / "held.db"
+        with Database(path, durability="durable") as held:
+            held.execute("CREATE TABLE t (a INTEGER)")
+            with Database(path) as other:
+                assert other.durability == "ephemeral"
+                assert other.query_value("PRAGMA journal_mode") == "wal"
+                other.execute("INSERT INTO t VALUES (1)")
+            assert held.query_value("SELECT a FROM t") == 1
+
+    def test_pragma_failure_at_open_is_a_storage_error(self, tmp_path):
+        path = tmp_path / "junk.db"
+        path.write_bytes(b"not a database file " * 100)
+        with pytest.raises(StorageError, match="while opening"):
+            Database(path)
+
     def test_durable_close_checkpoints_wal(self, tmp_path):
         path = tmp_path / "w.db"
         with Database(path, durability="durable") as db:
