@@ -39,8 +39,7 @@ from repro.core.schema import (
     VALUE_TABLE,
 )
 from repro.core.store import RDFStore
-from repro.core.values import _decompose
-from repro.db.dburi import is_dburi
+from repro.core.values import _decompose, references_reified
 from repro.rdf.canonical import canonical_term
 from repro.rdf.ntriples import parse_ntriples
 from repro.rdf.terms import RDFTerm
@@ -230,7 +229,7 @@ class BulkLoader:
         RDF inputs repeat subjects, predicates and objects heavily, so
         a term is decomposed, classified and written once per key, not
         once per triple.  REIF_LINK is decided here, exactly, with the
-        DBUri grammar the integrity checker enforces.
+        rule the integrity checker enforces.
         """
         value_sql = (f'INSERT INTO "{STAGE_VALUE_TABLE}" '
                      f"(stage_key, {_VALUE_COLUMNS}) "
@@ -257,7 +256,7 @@ class BulkLoader:
             row = _decompose(term)
             key = next_key()
             value_rows.append((key,) + row)
-            entry = keys[term] = (key, is_dburi(row[0]))
+            entry = keys[term] = (key, references_reified(row[:1]))
             return entry
 
         def canon_key(obj: RDFTerm) -> int:

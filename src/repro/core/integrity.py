@@ -31,6 +31,7 @@ from repro.core.schema import (
     NODE_TABLE,
     VALUE_TABLE,
 )
+from repro.core.values import references_reified
 from repro.db.dburi import DBUri, is_dburi
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -125,8 +126,8 @@ def _check_reif_flags(store: "RDFStore") -> list[Violation]:
             f'JOIN "{VALUE_TABLE}" sv ON sv.value_id = l.start_node_id '
             f'JOIN "{VALUE_TABLE}" pv ON pv.value_id = l.p_value_id '
             f'JOIN "{VALUE_TABLE}" ov ON ov.value_id = l.end_node_id'):
-        has_dburi = any(is_dburi(row[name])
-                        for name in ("s_name", "p_name", "o_name"))
+        has_dburi = references_reified(
+            row[name] for name in ("s_name", "p_name", "o_name"))
         flagged = row["reif_link"] == "Y"
         if has_dburi != flagged:
             violations.append(Violation(

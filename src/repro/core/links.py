@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.schema import LINK_TABLE, MODEL_VERSION_TABLE
+from repro.core.schema import LINK_TABLE, MODEL_VERSION_TABLE, VALUE_TABLE
+from repro.db.dburi import link_dburi_sql
 from repro.errors import TripleNotFoundError
 from repro.rdf.containers import is_membership_property
 from repro.rdf.namespaces import RDF
-from repro.rdf.terms import URI
+from repro.rdf.terms import URI, ValueType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.connection import Database
@@ -62,6 +63,34 @@ class Context(str, Enum):
 
     DIRECT = "D"
     INDIRECT = "I"
+
+
+#: Is there a reification statement ``<DBUri(n), rdf:type,
+#: rdf:Statement>`` in model ?1, where ?2 and ?3 are the VALUE_IDs of
+#: rdf:type and rdf:Statement and ``{dburi}`` is the DBUri's text as an
+#: SQL expression of ``n``?  The text is found through rdf_value_uniq;
+#: the statement is probed on rdf_link_uniq.
+_REIFIED_SQL = (
+    f'EXISTS (SELECT 1 FROM "{LINK_TABLE}" r WHERE r.model_id = ?1 '
+    f'AND r.start_node_id = (SELECT v.value_id FROM "{VALUE_TABLE}" v '
+    "WHERE v.value_name = {dburi} "
+    f"AND v.value_type = '{ValueType.URI.value}' "
+    "AND IFNULL(v.literal_type, '') = '' "
+    "AND IFNULL(v.language_type, '') = '' "
+    "AND IFNULL(v.long_value, '') = '') "
+    "AND r.p_value_id = ?2 AND r.end_node_id = ?3)")
+
+#: IS_REIFIED by LINK_ID (?4).
+_IS_REIFIED_ID_SQL = "SELECT " + _REIFIED_SQL.format(
+    dburi=link_dburi_sql("?4"))
+
+#: IS_REIFIED by the base triple's VALUE_IDs (?4, ?5, ?6): the base
+#: link's probe and the reification's, one statement.
+_IS_REIFIED_SQL = (
+    "SELECT " + _REIFIED_SQL.format(dburi=link_dburi_sql("b.link_id"))
+    + f' FROM "{LINK_TABLE}" b WHERE b.model_id = ?1 '
+    "AND b.start_node_id = ?4 AND b.p_value_id = ?5 "
+    "AND b.end_node_id = ?6")
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,6 +141,33 @@ class LinkStore:
             "AND start_node_id = ? AND p_value_id = ? AND end_node_id = ?",
             (model_id, start_node_id, p_value_id, end_node_id))
         return None if row is None else LinkRow.from_row(row)
+
+    def contains(self, model_id: int, start_node_id: int, p_value_id: int,
+                 end_node_id: int) -> bool:
+        """True when (model, s, p, o) IDs are stored; builds no row."""
+        return self._db.query_one(
+            f'SELECT 1 FROM "{LINK_TABLE}" WHERE model_id = ? '
+            "AND start_node_id = ? AND p_value_id = ? AND end_node_id = ?",
+            (model_id, start_node_id, p_value_id, end_node_id)) is not None
+
+    def is_reified(self, model_id: int, type_id: int, statement_id: int,
+                   start_node_id: int, p_value_id: int,
+                   end_node_id: int) -> bool:
+        """Is the (s, p, o) triple of the model reified there?  One
+        statement; ``type_id`` and ``statement_id`` are the VALUE_IDs of
+        rdf:type and rdf:Statement."""
+        row = self._db.query_one(
+            _IS_REIFIED_SQL, (model_id, type_id, statement_id,
+                              start_node_id, p_value_id, end_node_id))
+        return row is not None and bool(row[0])
+
+    def is_reified_id(self, model_id: int, type_id: int,
+                      statement_id: int, link_id: int) -> bool:
+        """Is the triple with ``link_id`` reified in the model?  The
+        statement of :meth:`is_reified` with the LINK_ID bound."""
+        return bool(self._db.query_one(
+            _IS_REIFIED_ID_SQL,
+            (model_id, type_id, statement_id, link_id))[0])
 
     def get(self, link_id: int) -> LinkRow:
         """The link row with ``link_id``; raises TripleNotFoundError."""

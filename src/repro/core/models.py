@@ -42,8 +42,10 @@ class ModelRegistry:
     def __init__(self, database: "Database") -> None:
         self._db = database
         # model_name (lowered) -> ModelInfo; model names are
-        # case-insensitive like Oracle identifiers.
+        # case-insensitive like Oracle identifiers.  A rollback may
+        # discard a model (and free its MODEL_ID): drop them all then.
         self._cache: dict[str, ModelInfo] = {}
+        database.add_rollback_listener(self.invalidate_cache)
 
     @staticmethod
     def _normalize(model_name: str) -> str:

@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING
 from repro.core.links import Context, LinkRow, LinkStore, LinkType
 from repro.core.models import ModelInfo, ModelRegistry
 from repro.core.schema import BLANK_NODE_TABLE, NODE_TABLE
-from repro.core.values import ValueStore
-from repro.db.dburi import DBUri, is_dburi
+from repro.core.values import ValueStore, references_reified, stored_name
+from repro.db.dburi import DBUri
 from repro.rdf.canonical import canonical_term
 from repro.rdf.terms import BlankNode, RDFTerm, URI
 from repro.rdf.triple import Triple
@@ -84,41 +84,35 @@ class TripleParser:
         for internal inserts that do not correspond to an application
         table row (the COST column counts application rows only).
         """
-        try:
-            with self._db.transaction():
-                subject_id = self._register_node(model, triple.subject)
-                predicate_id = self._values.lookup_or_insert(
-                    triple.predicate)
-                object_id = self._register_node(model, triple.object)
-                existing = self._links.find(
-                    model.model_id, subject_id, predicate_id, object_id)
-                if existing is not None:
-                    return self._merge_existing(existing, context,
-                                                count_cost)
-                canon_id = self._canonical_object_id(triple.object,
-                                                     object_id)
-                link = self._links.insert(
-                    model_id=model.model_id,
-                    start_node_id=subject_id,
-                    p_value_id=predicate_id,
-                    end_node_id=object_id,
-                    canon_end_node_id=canon_id,
-                    link_type=LinkType.for_predicate(triple.predicate),
-                    context=context,
-                    reif_link=self._references_reified(triple))
-                if not count_cost:
-                    # insert() seeds COST=1 assuming an application row;
-                    # internal inserts start at 0.
-                    self._links.decrement_cost(link.link_id)
-                    link = self._links.get(link.link_id)
-                if self._delta_hook is not None:
-                    self._delta_hook(model, (triple,), ())
-                return InsertResult(link, created=True)
-        except BaseException:
-            # The rollback discards value ids allocated in this scope;
-            # the cache must not keep handing them out.
-            self._values.invalidate_cache()
-            raise
+        with self._db.transaction():
+            subject_id = self._register_node(model, triple.subject)
+            predicate_id = self._values.lookup_or_insert(
+                triple.predicate)
+            object_id = self._register_node(model, triple.object)
+            existing = self._links.find(
+                model.model_id, subject_id, predicate_id, object_id)
+            if existing is not None:
+                return self._merge_existing(existing, context,
+                                            count_cost)
+            canon_id = self._canonical_object_id(triple.object,
+                                                 object_id)
+            link = self._links.insert(
+                model_id=model.model_id,
+                start_node_id=subject_id,
+                p_value_id=predicate_id,
+                end_node_id=object_id,
+                canon_end_node_id=canon_id,
+                link_type=LinkType.for_predicate(triple.predicate),
+                context=context,
+                reif_link=references_reified(map(stored_name, triple)))
+            if not count_cost:
+                # insert() seeds COST=1 assuming an application row;
+                # internal inserts start at 0.
+                self._links.decrement_cost(link.link_id)
+                link = self._links.get(link.link_id)
+            if self._delta_hook is not None:
+                self._delta_hook(model, (triple,), ())
+            return InsertResult(link, created=True)
 
     def _merge_existing(self, existing: LinkRow, context: Context,
                         count_cost: bool) -> InsertResult:
@@ -153,14 +147,6 @@ class TripleParser:
         if canonical == obj:
             return object_id
         return self._values.lookup_or_insert(canonical)
-
-    @staticmethod
-    def _references_reified(triple: Triple) -> bool:
-        """REIF_LINK: does any component reference a reified triple?"""
-        for term in triple:
-            if isinstance(term, URI) and is_dburi(term.value):
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # delete

@@ -221,6 +221,18 @@ class RDFStore:
         self.values.invalidate_cache()
         self.models.invalidate_cache()
 
+    def poll_snapshot(self) -> None:
+        """Flush the caches when another connection (a second store on
+        the file, another process) has committed since the last poll.
+
+        One ``PRAGMA data_version``.  ``sdo_rdf_match``, the point
+        probes and :meth:`model_exists` call it on entry, so a model
+        another store dropped, or a name it reused, is not answered
+        from this store's caches.
+        """
+        if self._db.poll_data_version():
+            self.invalidate_caches()
+
     def run_rules_maintenance(self, targets, added, removed,
                               model: "ModelInfo | None" = None) -> None:
         """Apply each target's maintenance policy for a base delta."""
@@ -276,6 +288,7 @@ class RDFStore:
 
     def model_exists(self, model_name: str) -> bool:
         """True when a model with this name exists."""
+        self.poll_snapshot()
         return self.models.exists(model_name)
 
     # ------------------------------------------------------------------
@@ -364,7 +377,8 @@ class RDFStore:
         """
         if not self.links.exists(rdf_t_id):
             raise TripleNotFoundError(rdf_t_id)
-        if not self.is_reified_id(model_name, rdf_t_id):
+        model_id = self.models.get(model_name).model_id
+        if not self._is_reified_id(model_id, rdf_t_id):
             self.reify_triple(model_name, rdf_t_id)
         resource = DBUri.for_link(rdf_t_id).text
         assertion = Triple.from_text(subject, predicate, resource)
@@ -384,7 +398,7 @@ class RDFStore:
         result = self.parser.insert(info, base, context=Context.INDIRECT,
                                     count_cost=False)
         base_id = result.link_id
-        if not self.is_reified_id(model_name, base_id):
+        if not self._is_reified_id(info.model_id, base_id):
             self.reify_triple(model_name, base_id)
         resource = DBUri.for_link(base_id).text
         assertion = Triple.from_text(reif_sub, reif_prop, resource)
@@ -406,27 +420,41 @@ class RDFStore:
         """Is the triple with ``rdf_t_id`` reified in ``model_name``?
 
         "To determine if a triple is reified in a specified graph, a
-        search is done for its DBUriType" — a single indexed lookup.
+        search is done for its DBUriType" — one statement, which finds
+        the DBUri's VALUE_ID and probes the reification statement.
         """
-        info = self.models.get(model_name)
-        resource = URI(DBUri.for_link(rdf_t_id).text)
-        subject_id = self.values.find_id(resource)
-        if subject_id is None:
-            return False
-        type_id = self.values.find_id(_RDF_TYPE)
-        statement_id = self.values.find_id(_RDF_STATEMENT)
-        if type_id is None or statement_id is None:
-            return False
-        return self.links.find(info.model_id, subject_id, type_id,
-                               statement_id) is not None
+        self.poll_snapshot()
+        return self._is_reified_id(self.models.get(model_name).model_id,
+                                   rdf_t_id)
+
+    def _is_reified_id(self, model_id: int, rdf_t_id: int) -> bool:
+        """:meth:`is_reified_id` without the snapshot poll, for the
+        assertion constructors, which write."""
+        vocabulary = self._statement_vocabulary()
+        return vocabulary is not None and \
+            self.links.is_reified_id(model_id, *vocabulary, rdf_t_id)
 
     def is_reified(self, model_name: str, subject: str, predicate: str,
                    obj: str) -> bool:
-        """``SDO_RDF.IS_REIFIED(model, s, p, o)`` (paper Figure 11)."""
-        link = self.find_link(model_name, subject, predicate, obj)
-        if link is None:
+        """``SDO_RDF.IS_REIFIED(model, s, p, o)`` (paper Figure 11): the
+        base link's probe and the reification's, in one statement."""
+        model_id, ids = self._probe(model_name, subject, predicate, obj)
+        if ids is None:
             return False
-        return self.is_reified_id(model_name, link.link_id)
+        vocabulary = self._statement_vocabulary()
+        if vocabulary is None:
+            return False
+        return self.links.is_reified(model_id, *vocabulary, *ids)
+
+    def _statement_vocabulary(self) -> tuple[int, int] | None:
+        """The VALUE_IDs of rdf:type and rdf:Statement (from the warm
+        value cache), or None while either is unstored: then nothing
+        is reified."""
+        type_id = self.values.find_id(_RDF_TYPE)
+        statement_id = self.values.find_id(_RDF_STATEMENT)
+        if type_id is None or statement_id is None:
+            return None
+        return type_id, statement_id
 
     def reified_target(self, dburi_text: str) -> LinkRow:
         """Resolve a reification resource back to its base triple."""
@@ -443,21 +471,23 @@ class RDFStore:
     def find_link(self, model_name: str, subject: str, predicate: str,
                   obj: str) -> LinkRow | None:
         """The link row for a text triple in a model, or None."""
-        info = self.models.get(model_name)
-        triple = Triple.from_text(subject, predicate, obj)
-        subject_id = self.values.find_id(triple.subject)
-        predicate_id = self.values.find_id(triple.predicate)
-        object_id = self.values.find_id(triple.object)
-        if None in (subject_id, predicate_id, object_id):
-            return None
-        return self.links.find(info.model_id, subject_id, predicate_id,
-                               object_id)
+        model_id, ids = self._probe(model_name, subject, predicate, obj)
+        return None if ids is None else self.links.find(model_id, *ids)
 
     def is_triple(self, model_name: str, subject: str, predicate: str,
                   obj: str) -> bool:
         """``SDO_RDF.IS_TRIPLE`` semantics."""
-        return self.find_link(model_name, subject, predicate, obj) \
-            is not None
+        model_id, ids = self._probe(model_name, subject, predicate, obj)
+        return ids is not None and self.links.contains(model_id, *ids)
+
+    def _probe(self, model_name: str, subject: str, predicate: str,
+               obj: str) -> tuple[int, tuple[int, int, int] | None]:
+        """A point probe's entry: poll the snapshot, then the model's
+        id and the texts' VALUE_IDs (None when a term is not stored)."""
+        self.poll_snapshot()
+        model_id = self.models.get(model_name).model_id
+        return model_id, self.values.find_text_ids(subject, predicate,
+                                                   obj)
 
     def get_triple_s(self, link_id: int) -> SDO_RDF_TRIPLE_S:
         """The storage object for an existing LINK_ID."""

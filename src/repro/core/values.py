@@ -12,20 +12,31 @@ Long literals (lexical form > 4000 chars) store the full text in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.schema import VALUE_TABLE
+from repro.db.dburi import is_dburi
 from repro.errors import ValueNotFoundError
 from repro.rdf.terms import (
     LONG_LITERAL_THRESHOLD,
+    URI,
     Literal,
     RDFTerm,
     ValueType,
     term_from_lexical,
 )
+from repro.rdf.triple import Triple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.connection import Database
+
+
+def stored_name(term: RDFTerm) -> str:
+    """The term's VALUE_NAME: its lexical form, cut to the indexable
+    4000-char prefix for a long literal."""
+    if isinstance(term, Literal):
+        return term.lexical_form[:LONG_LITERAL_THRESHOLD]
+    return term.lexical
 
 
 def _decompose(term: RDFTerm) -> tuple[str, str, str | None, str | None,
@@ -35,28 +46,39 @@ def _decompose(term: RDFTerm) -> tuple[str, str, str | None, str | None,
     Returns (value_name, value_type, literal_type, language_type,
     long_value).
     """
-    value_type = term.value_type
     literal_type = None
     language_type = None
     long_value = None
-    lexical = term.lexical
     if isinstance(term, Literal):
         if term.datatype is not None:
             literal_type = term.datatype.value
         if term.language is not None:
             language_type = term.language
         if term.is_long:
-            long_value = lexical
-            lexical = lexical[:LONG_LITERAL_THRESHOLD]
-    return lexical, value_type.value, literal_type, language_type, long_value
+            long_value = term.lexical_form
+    return (stored_name(term), term.value_type.value, literal_type,
+            language_type, long_value)
+
+
+def references_reified(stored_names: Iterable[str]) -> bool:
+    """The REIF_LINK rule: a link is 'Y' when the stored text
+    (VALUE_NAME) of any of its components is a DBUri.
+
+    The row-at-a-time insert, the bulk loader and ``check_integrity``
+    all decide REIF_LINK here, so the two write paths and the checker
+    cannot disagree.
+    """
+    return any(map(is_dburi, stored_names))
 
 
 class ValueStore:
     """Lookup/insert interface over ``rdf_value$``.
 
     A small in-process cache keeps the hot term->VALUE_ID mapping out of
-    SQL; it is write-through and safe because VALUE_IDs are immutable
-    once assigned.
+    SQL, and a second map keys VALUE_IDs on the caller's text, so a
+    warm point probe parses nothing.  Both are write-through and safe
+    because VALUE_IDs are immutable once committed; a rollback, which
+    can discard an id the cache has handed out, drops them.
     """
 
     #: VALUE_IDs per batched ``IN (...)`` lookup — comfortably under
@@ -69,6 +91,9 @@ class ValueStore:
         self._cache_size = cache_size
         self._id_cache: dict[RDFTerm, int] = {}
         self._term_cache: dict[int, RDFTerm] = {}
+        # The caller's term text -> (VALUE_ID, its parsed term).
+        self._text_cache: dict[str, tuple[int, RDFTerm]] = {}
+        database.add_rollback_listener(self.invalidate_cache)
 
     # ------------------------------------------------------------------
     # lookups
@@ -98,6 +123,39 @@ class ValueStore:
         value_id = int(row["value_id"])
         self._remember(term, value_id)
         return value_id
+
+    def find_text_ids(self, subject: str, predicate: str, obj: str
+                      ) -> tuple[int, int, int] | None:
+        """The VALUE_IDs of a triple given as text (the
+        ``SDO_RDF_TRIPLE_S`` constructor arguments), or None when a
+        component is not stored.
+
+        A text seen before is not parsed again.  It keeps its role
+        checks: when a cached term cannot fill its role (a literal
+        subject, a predicate that is not a URI), the texts go through
+        :meth:`Triple.from_text`, which raises its
+        :class:`~repro.errors.TermError` exactly as on a miss.
+        """
+        texts = self._text_cache
+        s_entry = texts.get(subject)
+        p_entry = texts.get(predicate)
+        o_entry = texts.get(obj)
+        if (s_entry is not None and p_entry is not None
+                and o_entry is not None
+                and isinstance(p_entry[1], URI)
+                and not isinstance(s_entry[1], Literal)):
+            return s_entry[0], p_entry[0], o_entry[0]
+        triple = Triple.from_text(subject, predicate, obj)
+        ids = []
+        for text, term in zip((subject, predicate, obj), triple):
+            value_id = self.find_id(term)
+            if value_id is None:
+                return None
+            if len(texts) >= self._cache_size:
+                self.invalidate_cache()
+            texts[text] = (value_id, term)
+            ids.append(value_id)
+        return ids[0], ids[1], ids[2]
 
     def lookup_or_insert(self, term: RDFTerm) -> int:
         """The VALUE_ID of ``term``, inserting a new row if needed.
@@ -202,12 +260,13 @@ class ValueStore:
 
     def _remember(self, term: RDFTerm, value_id: int) -> None:
         if len(self._id_cache) >= self._cache_size:
-            self._id_cache.clear()
-            self._term_cache.clear()
+            self.invalidate_cache()
         self._id_cache[term] = value_id
         self._term_cache[value_id] = term
 
     def invalidate_cache(self) -> None:
-        """Drop the in-process caches (after bulk deletes)."""
+        """Drop the in-process caches (after bulk deletes, a rollback,
+        or another connection's commit)."""
         self._id_cache.clear()
         self._term_cache.clear()
+        self._text_cache.clear()

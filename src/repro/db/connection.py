@@ -30,9 +30,10 @@ from __future__ import annotations
 import re
 import sqlite3
 import time
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.db.resilience import (
     DurabilityProfile,
@@ -169,6 +170,7 @@ class Database:
         # The store manages transactions explicitly via transaction().
         self._connection.isolation_level = None
         self._in_transaction = 0
+        self._rollback_listeners: list[weakref.WeakMethod] = []
         self._closed = False
         self._deadline_guard: DeadlineGuard | None = None
         self._observer = NULL_OBSERVER
@@ -282,6 +284,26 @@ class Database:
         self._seen_data_version = current
         self._data_version += 1
         return True
+
+    def add_rollback_listener(self, callback: Callable[[], None]) -> None:
+        """Call the bound method ``callback`` after every rollback.
+
+        A rollback (``ROLLBACK``, or ``ROLLBACK TO`` a savepoint) may
+        discard rows whose ids a cache has already handed out; SQLite
+        then hands the same ids to new rows.  Caches of such ids
+        register here to drop them.  Held weakly: registering does not
+        keep the listener's owner alive.
+        """
+        listeners = [ref for ref in self._rollback_listeners
+                     if ref() is not None]
+        listeners.append(weakref.WeakMethod(callback))
+        self._rollback_listeners = listeners
+
+    def _rolled_back(self) -> None:
+        for ref in self._rollback_listeners:
+            callback = ref()
+            if callback is not None:
+                callback()
 
     def set_observer(self, observer: Observer) -> None:
         """Attach (or detach, with :data:`NULL_OBSERVER`) an observer.
@@ -549,7 +571,9 @@ class Database:
         opens a SAVEPOINT, so an inner failure rolls back only the
         inner scope's work — callers that catch the inner exception
         keep the outer scope's writes (an uncaught exception still
-        unwinds every scope and rolls back everything).
+        unwinds every scope and rolls back everything).  Either kind of
+        rollback notifies the rollback listeners
+        (:meth:`add_rollback_listener`).
 
         Under the ``paranoid`` profile the outermost scope first reads
         ``PRAGMA foreign_keys`` and raises :class:`StorageError`,
@@ -568,9 +592,12 @@ class Database:
                 # whole transaction back already; rolling back a
                 # savepoint that no longer exists would raise and mask
                 # the original error.
-                if self._connection.in_transaction:
-                    self.execute(f"ROLLBACK TO {name}")
-                    self.execute(f"RELEASE {name}")
+                try:
+                    if self._connection.in_transaction:
+                        self.execute(f"ROLLBACK TO {name}")
+                        self.execute(f"RELEASE {name}")
+                finally:
+                    self._rolled_back()
                 raise
             else:
                 self.execute(f"RELEASE {name}")
@@ -592,8 +619,11 @@ class Database:
             # The engine rolls back on its own when a statement is
             # interrupted mid-write; a second explicit ROLLBACK would
             # raise "no transaction is active" and mask the cause.
-            if self._connection.in_transaction:
-                self.execute("ROLLBACK")
+            try:
+                if self._connection.in_transaction:
+                    self.execute("ROLLBACK")
+            finally:
+                self._rolled_back()
             raise
         else:
             self._in_transaction = 0

@@ -30,6 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: schema that owns the central RDF tables.
 ORADB_PREFIX = "/ORADB/MDSYS/"
 
+#: The one spelling of a row DBUri: :attr:`DBUri.text` fills it in with
+#: Python values, :func:`link_dburi_sql` with an SQL expression.
+_ROW_TEXT = "/ORADB/{0.schema}/{0.table}/ROW[{0.column}={1}]"
+
 _DBURI_RE = re.compile(
     r"/ORADB/(?P<schema>[A-Za-z_][A-Za-z0-9_]*)/"
     r"(?P<table>[A-Za-z_][A-Za-z0-9_$]*)/"
@@ -80,8 +84,7 @@ class DBUri:
     @property
     def text(self) -> str:
         """The canonical DBUri string."""
-        return (f"/ORADB/{self.schema}/{self.table}/"
-                f"ROW[{self.column}={self.value}]")
+        return _ROW_TEXT.format(self, self.value)
 
     @property
     def is_link_uri(self) -> bool:
@@ -99,6 +102,17 @@ class DBUri:
 
     def __str__(self) -> str:
         return self.text
+
+
+def link_dburi_sql(link_id_sql: str) -> str:
+    """An SQL expression whose value is ``DBUri.for_link(n).text``,
+    where ``n`` is the value of the SQL expression ``link_id_sql``.
+
+    The point probes build a link's DBUri inside SQLite with this, so
+    finding the reification resource costs no Python round trip.
+    """
+    return "'" + _ROW_TEXT.format(DBUri.for_link(0),
+                                  f"' || {link_id_sql} || '") + "'"
 
 
 class DBUriType:

@@ -223,8 +223,7 @@ def sdo_rdf_match(store: "RDFStore", query: str,
     # Another connection's commit (a second store on the file, another
     # process) must reach this store's caches before anything probes
     # them; pooled sessions were already polled at lease.
-    if store.database.poll_data_version():
-        store.invalidate_caches()
+    store.poll_snapshot()
     if not models:
         raise QueryError("SDO_RDF_MATCH requires at least one model")
     if limit is not None and limit < 0:

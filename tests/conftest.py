@@ -1,6 +1,15 @@
-"""Shared fixtures: fresh in-memory stores and the IC scenario."""
+"""Shared fixtures: fresh stores and the IC scenario.
+
+The stores are in memory, unless ``REPRO_DURABILITY`` names a profile:
+then each opens a fresh file in pytest's temporary directory, because
+an in-memory SQLite database never enters WAL and ignores
+``synchronous`` and checkpoints, so a durability run in memory would
+test nothing the default run does not.
+"""
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -12,18 +21,26 @@ from repro.inference.sdo_rdf_inference import SDO_RDF_INFERENCE
 from repro.workloads.intel import IntelScenario
 
 
+def _path(tmp_path_factory, name: str) -> str:
+    """``:memory:``, or a fresh file when a durability profile is set."""
+    if not os.environ.get("REPRO_DURABILITY"):
+        return ":memory:"
+    return str(tmp_path_factory.mktemp("fixture") / name)
+
+
 @pytest.fixture
-def database():
-    """A fresh in-memory database."""
-    db = Database()
+def database(tmp_path_factory):
+    """A fresh database (see the module docstring for where)."""
+    db = Database(_path(tmp_path_factory, "database.db"))
     yield db
     db.close()
 
 
 @pytest.fixture
-def store():
-    """A fresh in-memory RDF store with the central schema."""
-    rdf_store = RDFStore()
+def store(tmp_path_factory):
+    """A fresh RDF store with the central schema (see the module
+    docstring for where)."""
+    rdf_store = RDFStore(_path(tmp_path_factory, "store.db"))
     yield rdf_store
     rdf_store.close()
 

@@ -1,8 +1,10 @@
 """Tests for DBUri emulation (repro.db.dburi)."""
 
+import sqlite3
+
 import pytest
 
-from repro.db.dburi import DBUri, DBUriType, is_dburi
+from repro.db.dburi import DBUri, DBUriType, is_dburi, link_dburi_sql
 from repro.errors import DBUriError
 
 
@@ -54,6 +56,16 @@ class TestForLink:
         assert not other.is_link_uri
         with pytest.raises(DBUriError):
             other.link_id
+
+    @pytest.mark.parametrize("link_id", [0, 1, 2051, 2**62])
+    def test_sql_expression_spells_the_same_text(self, link_id):
+        connection = sqlite3.connect(":memory:")
+        try:
+            text = connection.execute(
+                f"SELECT {link_dburi_sql('?')}", (link_id,)).fetchone()[0]
+        finally:
+            connection.close()
+        assert text == DBUri.for_link(link_id).text
 
 
 class TestDBUriType:

@@ -1,6 +1,7 @@
 """Tests for durability profiles and the retry policy
 (repro.db.resilience)."""
 
+import os
 import sqlite3
 
 import pytest
@@ -115,6 +116,18 @@ class TestProfilePragmas:
         assert not wal.exists() or wal.stat().st_size == 0
         with Database(path, durability="durable") as db:
             assert db.query_value("SELECT a FROM t") == 1
+
+
+class TestSharedFixtures:
+    """Under ``REPRO_DURABILITY`` the shared fixtures are files in the
+    profile's journal mode, so a durability run reaches WAL."""
+
+    def test_fixtures_follow_the_profile(self, database, store):
+        for db in (database, store.database):
+            expected = "memory"
+            if os.environ.get("REPRO_DURABILITY"):
+                expected = db.profile.journal_mode.lower()
+            assert db.query_value("PRAGMA journal_mode") == expected
 
 
 class TestTransientClassification:
