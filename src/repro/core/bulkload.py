@@ -5,11 +5,14 @@ the input is staged in full (temporary tables, deleted at the end of
 the loading process) before triples are inserted.  This module
 implements that pipeline:
 
-1. parse the input (N-Triples file/stream or an iterable of triples)
-   and give each distinct term a small integer *stage key*: one row per
-   new term in ``rdf_stage_value$``, one row of keys per triple in
-   ``rdf_stage$``.  Both are TEMP tables, so staging never reaches the
-   main database file or its WAL;
+1. read the input and give each distinct term a small integer *stage
+   key*: one row per new key in ``rdf_stage_value$``, one row of keys
+   per triple in ``rdf_stage$``.  Both are TEMP tables, so staging
+   never reaches the main database file or its WAL.  An N-Triples
+   file or stream is keyed on its raw tokens
+   (:class:`repro.rdf.ntriples.StatementTokens`): a term is built only
+   for a token not seen before, never per occurrence.  Turtle, RDF/XML
+   and an iterable of triples are keyed on their term objects;
 2. merge the staged values into ``rdf_value$`` set-wise (one INSERT ...
    SELECT instead of one lookup per component) and read back each
    stage key's VALUE_ID;
@@ -29,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Callable, Hashable, Iterable
 
 from repro.core.links import LinkType
 from repro.core.schema import (
@@ -41,7 +44,7 @@ from repro.core.schema import (
 from repro.core.store import RDFStore
 from repro.core.values import _decompose, references_reified
 from repro.rdf.canonical import canonical_term
-from repro.rdf.ntriples import parse_ntriples
+from repro.rdf.ntriples import StatementTokens, term_token
 from repro.rdf.terms import RDFTerm
 from repro.rdf.triple import Triple
 
@@ -117,11 +120,12 @@ class BulkLoader:
             return self.load(parse_rdfxml(
                 path.read_text(encoding="utf-8")))
         with open(path, encoding="utf-8") as stream:
-            return self.load(parse_ntriples(stream))
+            return self.load_stream(stream)
 
     def load_stream(self, stream: IO[str]) -> BulkLoadReport:
-        """Bulk-load an N-Triples text stream."""
-        return self.load(parse_ntriples(stream))
+        """Bulk-load an N-Triples text stream, keyed on its tokens."""
+        tokens = StatementTokens(stream)
+        return self._load(tokens, tokens.term, term_token)
 
     def load(self, triples: Iterable[Triple]) -> BulkLoadReport:
         """Bulk-load parsed triples.
@@ -129,6 +133,11 @@ class BulkLoader:
         The entire input is staged before any central-schema insert —
         the same whole-input-first behaviour the paper describes.
         """
+        return self._load(triples, _same, _same)
+
+    def _load(self, statements: Iterable[Iterable[Hashable]],
+              term_of: Callable[[Hashable], RDFTerm],
+              key_of: Callable[[RDFTerm], Hashable]) -> BulkLoadReport:
         observer = self._db.observer
         maintenance = self._store.rules_maintenance_targets(
             self._model.model_name)
@@ -137,7 +146,8 @@ class BulkLoader:
             try:
                 with self._db.transaction():
                     with observer.span("bulkload.stage") as stage_span:
-                        staged = self._stage(triples)
+                        staged = self._stage(statements, term_of,
+                                             key_of)
                         stage_span.set("staged", staged)
                     with observer.span("bulkload.merge_values") as mv_span:
                         new_values = self._merge_values()
@@ -223,13 +233,18 @@ class BulkLoader:
     # pipeline stages
     # ------------------------------------------------------------------
 
-    def _stage(self, triples: Iterable[Triple]) -> int:
+    def _stage(self, statements: Iterable[Iterable[Hashable]],
+               term_of: Callable[[Hashable], RDFTerm],
+               key_of: Callable[[RDFTerm], Hashable]) -> int:
         """Key every distinct term once and stage each triple as keys.
 
-        RDF inputs repeat subjects, predicates and objects heavily, so
-        a term is decomposed, classified and written once per key, not
-        once per triple.  REIF_LINK is decided here, exactly, with the
-        rule the integrity checker enforces.
+        A statement is three term keys: tokens or term objects.
+        ``term_of`` reads a key not seen before into its term, and
+        ``key_of`` keys a canonical form.  RDF inputs repeat subjects,
+        predicates and objects heavily, so a term is read, decomposed,
+        classified and written once per key, not once per triple.
+        REIF_LINK is decided here, exactly, with the rule the integrity
+        checker enforces.
         """
         value_sql = (f'INSERT INTO "{STAGE_VALUE_TABLE}" '
                      f"(stage_key, {_VALUE_COLUMNS}) "
@@ -242,28 +257,30 @@ class BulkLoader:
         value_rows: list[tuple] = []
         rows: list[tuple] = []
         staged = 0
-        # term -> (stage key, is a DBUri); object -> canonical key.
-        keys: dict[RDFTerm, tuple[int, bool]] = {}
-        canon_keys: dict[RDFTerm, int] = {}
-        link_types: dict[RDFTerm, str] = {}
+        # key -> (stage key, is a DBUri, its canonical form's stage key)
+        keys: dict[Hashable, tuple[int, bool, int]] = {}
+        link_types: dict[Hashable, str] = {}
 
         next_key = itertools.count(1).__next__
 
-        def stage_term(term: RDFTerm) -> tuple[int, bool]:
+        def stage_term(key: Hashable,
+                       term: RDFTerm) -> tuple[int, bool, int]:
             if len(keys) >= KEY_MAP_BOUND:
                 keys.clear()
-                canon_keys.clear()
+                link_types.clear()
             row = _decompose(term)
-            key = next_key()
-            value_rows.append((key,) + row)
-            entry = keys[term] = (key, references_reified(row[:1]))
+            stage_key = next_key()
+            value_rows.append((stage_key,) + row)
+            canonical = canonical_term(term)
+            if canonical is term:
+                canon_key = stage_key
+            else:
+                canon_ref = key_of(canonical)
+                canon_key = (keys.get(canon_ref)
+                             or stage_term(canon_ref, canonical))[0]
+            entry = keys[key] = (stage_key, references_reified(row[:1]),
+                                 canon_key)
             return entry
-
-        def canon_key(obj: RDFTerm) -> int:
-            canonical = canonical_term(obj)
-            key = canon_keys[obj] = \
-                (keys.get(canonical) or stage_term(canonical))[0]
-            return key
 
         def flush() -> None:
             if value_rows:
@@ -273,17 +290,17 @@ class BulkLoader:
             value_rows.clear()
             rows.clear()
 
-        for triple in triples:
-            subject, predicate, obj = (triple.subject, triple.predicate,
-                                       triple.object)
-            s_key, s_ref = keys.get(subject) or stage_term(subject)
-            p_key, p_ref = keys.get(predicate) or stage_term(predicate)
-            o_key, o_ref = keys.get(obj) or stage_term(obj)
-            c_key = canon_keys.get(obj) or canon_key(obj)
+        for subject, predicate, obj in statements:
+            s_key, s_ref, _ = (keys.get(subject)
+                               or stage_term(subject, term_of(subject)))
+            p_key, p_ref, _ = (keys.get(predicate)
+                               or stage_term(predicate, term_of(predicate)))
+            o_key, o_ref, c_key = (keys.get(obj)
+                                   or stage_term(obj, term_of(obj)))
             link_type = link_types.get(predicate)
             if link_type is None:
                 link_type = link_types[predicate] = \
-                    LinkType.for_predicate(predicate).value
+                    LinkType.for_predicate(term_of(predicate)).value
             rows.append((s_key, p_key, o_key, c_key, link_type,
                          "Y" if s_ref or p_ref or o_ref else "N"))
             staged += 1
@@ -344,6 +361,11 @@ class BulkLoader:
             f'JOIN "{STAGE_VALUE_TABLE}" o ON o.stage_key = st.o_key '
             f'JOIN "{STAGE_VALUE_TABLE}" c ON c.stage_key = st.c_key',
             (model_id,)).rowcount
+
+
+def _same(key):
+    """The term path's key and term: the term object itself."""
+    return key
 
 
 def bulk_load_ntriples(store: RDFStore, model_name: str,

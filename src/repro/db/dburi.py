@@ -37,12 +37,12 @@ _ROW_TEXT = "/ORADB/{0.schema}/{0.table}/ROW[{0.column}={1}]"
 _DBURI_RE = re.compile(
     r"/ORADB/(?P<schema>[A-Za-z_][A-Za-z0-9_]*)/"
     r"(?P<table>[A-Za-z_][A-Za-z0-9_$]*)/"
-    r"ROW\[(?P<column>[A-Za-z_][A-Za-z0-9_]*)=(?P<value>[0-9]+)\]$")
+    r"ROW\[(?P<column>[A-Za-z_][A-Za-z0-9_]*)=(?P<value>[0-9]+)\]")
 
 
 def is_dburi(text: str) -> bool:
     """True when ``text`` is a syntactically valid row DBUri."""
-    return _DBURI_RE.match(text) is not None
+    return _DBURI_RE.fullmatch(text) is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,7 +61,7 @@ class DBUri:
     @classmethod
     def parse(cls, text: str) -> "DBUri":
         """Parse a DBUri string; raises :class:`DBUriError` on bad input."""
-        match = _DBURI_RE.match(text)
+        match = _DBURI_RE.fullmatch(text)
         if match is None:
             raise DBUriError(f"malformed DBUri: {text!r}")
         return cls(schema=match.group("schema").upper(),

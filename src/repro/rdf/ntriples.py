@@ -4,11 +4,14 @@ N-Triples is the line-oriented exchange syntax the loaders use: one triple
 per line, terms in angle brackets / ``_:`` / quoted form, terminated by a
 full stop.  The reification-quad loader (:mod:`repro.reification.quads`)
 reads quads from N-Triples files, and the workload generators emit it.
+The bulk loader reads it as raw tokens (:class:`StatementTokens`), so a
+term spelled a thousand times is parsed once.
 """
 
 from __future__ import annotations
 
 import io
+import re
 from typing import IO, Iterable, Iterator
 
 from repro.errors import ParseError, TermError
@@ -33,10 +36,15 @@ def parse_ntriples(source: str | IO[str]) -> Iterator[Triple]:
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            yield parse_ntriples_line(line)
-        except (ParseError, TermError) as exc:
-            raise ParseError(str(exc), line=line_number) from exc
+        yield _parse_numbered(line, line_number)
+
+
+def _parse_numbered(line: str, line_number: int) -> Triple:
+    """:func:`parse_ntriples_line`, its errors tagged with the line."""
+    try:
+        return parse_ntriples_line(line)
+    except (ParseError, TermError) as exc:
+        raise ParseError(str(exc), line=line_number) from exc
 
 
 def parse_ntriples_line(line: str) -> Triple:
@@ -54,6 +62,11 @@ def parse_ntriples_line(line: str) -> Triple:
     if not isinstance(predicate, URI):
         raise ParseError(f"non-URI predicate in {line!r}")
     return Triple(subject, predicate, obj)
+
+
+# A quoted literal: up to the first quote no backslash escapes.
+_QUOTED = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_QUOTED_RE = re.compile(_QUOTED, re.DOTALL)
 
 
 class _Scanner:
@@ -109,19 +122,12 @@ class _Scanner:
         return BlankNode(label)
 
     def _read_literal(self) -> Literal:
-        end = self.pos + 1
-        while end < len(self.line):
-            if self.line[end] == "\\":
-                end += 2
-                continue
-            if self.line[end] == '"':
-                break
-            end += 1
-        else:
+        quoted = _QUOTED_RE.match(self.line, self.pos)
+        if quoted is None:
             raise ParseError(f"unterminated literal in {self.line!r}",
                              column=self.pos)
-        body = _unescape(self.line[self.pos + 1:end])
-        self.pos = end + 1
+        body = _unescape(quoted.group()[1:-1])
+        self.pos = quoted.end()
         if self.line.startswith("@", self.pos):
             tag_end = self.pos + 1
             while (tag_end < len(self.line)
@@ -151,6 +157,78 @@ class _Scanner:
             raise ParseError(
                 f"trailing content {trailing!r} in {self.line!r}",
                 column=self.pos + 1)
+
+
+# One stripped statement line as its three raw tokens, cut where
+# _Scanner cuts them: a URI ends at its first '>', a literal at its
+# first unescaped quote, a language tag at a blank or the final dot,
+# and a blank-node label never ends in a dot.  Only blanks and tabs
+# separate terms.  A line this does not take (no blank between terms,
+# a Unicode label, other whitespace, bad input) is parse_ntriples_line's.
+_URI_TOKEN = "<[^>]*>"
+_BLANK_TOKEN = r"_:[A-Za-z0-9_-](?:[A-Za-z0-9._-]*[A-Za-z0-9_-])?"
+_LITERAL_TOKEN = _QUOTED + r"(?:@[A-Za-z0-9-]+|\^\^<[^>]*>)?"
+_STATEMENT_RE = re.compile(
+    rf"({_URI_TOKEN}|{_BLANK_TOKEN})[ \t]+({_URI_TOKEN})[ \t]+"
+    rf"({_URI_TOKEN}|{_BLANK_TOKEN}|{_LITERAL_TOKEN})[ \t]*\."
+    r"(?:[ \t]*#.*)?")
+
+
+class StatementTokens:
+    """An N-Triples document as the raw tokens of its statements.
+
+    Iterating yields one ``(subject, predicate, object)`` tuple of
+    token strings per statement, and :meth:`term` reads a token with
+    the scanner's own :meth:`_Scanner.read_term`.  A loader that keys
+    terms on their tokens thus reads each distinct spelling once, not
+    each occurrence.  A line the statement pattern does not take is
+    parsed by :func:`parse_ntriples_line` and yields its terms'
+    :func:`term_token` spellings.  Bad input raises the
+    :class:`ParseError` :func:`parse_ntriples` raises, line included.
+    """
+
+    def __init__(self, source: str | IO[str]) -> None:
+        self._stream = (io.StringIO(source) if isinstance(source, str)
+                        else source)
+        self._at = ("", 0)
+
+    def __iter__(self) -> Iterator[tuple[str, str, str]]:
+        statement = _STATEMENT_RE.fullmatch
+        for line_number, raw_line in enumerate(self._stream, start=1):
+            line = raw_line.strip()
+            if not line or line[0] == "#":
+                continue
+            match = statement(line)
+            if match is None:
+                yield tuple(map(term_token,
+                                _parse_numbered(line, line_number)))
+            else:
+                self._at = (line, line_number)
+                yield match.groups()
+
+    def term(self, token: str) -> RDFTerm:
+        """The term ``token`` denotes.  A token of the latest statement
+        that denotes none raises that line's own :class:`ParseError`."""
+        try:
+            return _Scanner(token).read_term()
+        except (ParseError, TermError) as exc:
+            line, line_number = self._at
+            # Raises: the pattern cuts a line where the scanner does.
+            _parse_numbered(line, line_number)
+            raise ParseError(str(exc), line=line_number) from exc
+
+
+def term_token(term: RDFTerm) -> str:
+    """The token :meth:`StatementTokens.term` reads back as ``term``.
+
+    That is :func:`term_to_ntriples`, except that a URI's backslashes
+    and '>' are written as ``\\u`` escapes: a URI token is unescaped
+    when read and ends at its first '>'.
+    """
+    if isinstance(term, URI) and ("\\" in term.value or ">" in term.value):
+        return "<" + term.value.replace("\\", "\\u005C").replace(
+            ">", "\\u003E") + ">"
+    return term_to_ntriples(term)
 
 
 def term_to_ntriples(term: RDFTerm) -> str:

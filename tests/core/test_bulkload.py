@@ -17,7 +17,7 @@ from repro.core.schema import NODE_TABLE
 from repro.core.store import RDFStore
 from repro.db.dburi import DBUri
 from repro.rdf.namespaces import XSD
-from repro.rdf.ntriples import serialize_ntriples
+from repro.rdf.ntriples import StatementTokens, serialize_ntriples
 from repro.rdf.terms import BlankNode, Literal, URI
 from repro.rdf.triple import Triple
 from repro.workloads.uniprot import UniProtGenerator
@@ -31,6 +31,41 @@ def model(store):
 
 def t(s, p, o):
     return Triple.from_text(s, p, o)
+
+
+def _stored(store):
+    """Model m's triples, its link rows by text, and the table counts."""
+    db = store.database
+    links = {tuple(row) for row in db.query_all(
+        "SELECT sv.value_name, pv.value_name, ov.value_name,"
+        " cv.value_name, cv.literal_type, l.link_type,"
+        " l.reif_link, l.context "
+        'FROM "rdf_link$" l '
+        'JOIN "rdf_value$" sv ON sv.value_id = l.start_node_id '
+        'JOIN "rdf_value$" pv ON pv.value_id = l.p_value_id '
+        'JOIN "rdf_value$" ov ON ov.value_id = l.end_node_id '
+        'JOIN "rdf_value$" cv '
+        "ON cv.value_id = l.canon_end_node_id")}
+    counts = {table: db.row_count(table) for table in (
+        "rdf_link$", "rdf_value$", "rdf_node$", "rdf_blank_node$")}
+    return set(store.iter_model_triples("m")), links, counts
+
+
+def _overflow_triples():
+    """Terms that repeat across many clears of a five-entry key map:
+    shared subjects, predicates, a non-canonical typed literal, a blank
+    node, a DBUri subject and an exact duplicate triple."""
+    triples = list(UniProtGenerator().triples(400))
+    triples += [
+        Triple(URI("s:a"), URI("p:x"),
+               Literal("024", datatype=XSD.int)),
+        Triple(BlankNode("b1"), URI("p:x"),
+               Literal("024", datatype=XSD.int)),
+        Triple(URI("s:a"), URI("p:y"), BlankNode("b1")),
+        Triple(URI("/ORADB/MDSYS/RDF_LINK$/ROW[LINK_ID=1]"),
+               URI("p:x"), URI("s:a")),
+    ] * 3
+    return triples + triples[:50]
 
 
 class TestBulkLoad:
@@ -201,38 +236,8 @@ class TestStagingSpace:
 
     def test_key_map_overflow_stores_what_row_at_a_time_stores(
             self, monkeypatch):
-        # Terms repeat across many clears of a five-entry key map:
-        # shared subjects, predicates, a non-canonical typed literal,
-        # a blank node, a DBUri subject and an exact duplicate triple.
         monkeypatch.setattr(bulkload, "KEY_MAP_BOUND", 5)
-        triples = list(UniProtGenerator().triples(400))
-        triples += [
-            Triple(URI("s:a"), URI("p:x"),
-                   Literal("024", datatype=XSD.int)),
-            Triple(BlankNode("b1"), URI("p:x"),
-                   Literal("024", datatype=XSD.int)),
-            Triple(URI("s:a"), URI("p:y"), BlankNode("b1")),
-            Triple(URI("/ORADB/MDSYS/RDF_LINK$/ROW[LINK_ID=1]"),
-                   URI("p:x"), URI("s:a")),
-        ] * 3
-        triples += triples[:50]
-
-        def stored(store):
-            db = store.database
-            links = {tuple(row) for row in db.query_all(
-                "SELECT sv.value_name, pv.value_name, ov.value_name,"
-                " cv.value_name, cv.literal_type, l.link_type,"
-                " l.reif_link, l.context "
-                'FROM "rdf_link$" l '
-                'JOIN "rdf_value$" sv ON sv.value_id = l.start_node_id '
-                'JOIN "rdf_value$" pv ON pv.value_id = l.p_value_id '
-                'JOIN "rdf_value$" ov ON ov.value_id = l.end_node_id '
-                'JOIN "rdf_value$" cv '
-                "ON cv.value_id = l.canon_end_node_id")}
-            counts = {table: db.row_count(table) for table in (
-                "rdf_link$", "rdf_value$", "rdf_node$",
-                "rdf_blank_node$")}
-            return set(store.iter_model_triples("m")), links, counts
+        triples = _overflow_triples()
 
         with RDFStore() as bulk, RDFStore() as reference:
             for target in (bulk, reference):
@@ -241,7 +246,7 @@ class TestStagingSpace:
             for triple in triples:
                 reference.insert_triple_obj("m", triple)
             assert report.new_links == reference.links.count()
-            assert stored(bulk) == stored(reference)
+            assert _stored(bulk) == _stored(reference)
             assert check_integrity(bulk) == []
 
 
@@ -331,3 +336,91 @@ class TestFileLoading:
         link = store.find_link(model, "urn:s", "urn:p", "urn:o")
         obj = store.get_triple_s(link.link_id)
         assert obj.get_subject() == "urn:s"
+
+
+class TestTokenPath:
+    """load_stream keys raw N-Triples tokens; load keys term objects."""
+
+    def test_key_map_overflow_stores_what_row_at_a_time_stores(
+            self, monkeypatch):
+        # The token twin of TestStagingSpace's test: the same triples,
+        # spelled as N-Triples, go through the five-entry key map.
+        monkeypatch.setattr(bulkload, "KEY_MAP_BOUND", 5)
+        triples = _overflow_triples()
+        with RDFStore() as bulk, RDFStore() as reference:
+            for target in (bulk, reference):
+                target.create_model("m")
+            report = BulkLoader(bulk, "m", batch_size=7).load_stream(
+                io.StringIO(serialize_ntriples(triples)))
+            for triple in triples:
+                reference.insert_triple_obj("m", triple)
+            assert report.staged == len(triples)
+            assert report.new_links == reference.links.count()
+            assert _stored(bulk) == _stored(reference)
+            assert check_integrity(bulk) == []
+
+    def test_one_term_read_per_distinct_token(self, store, model,
+                                              monkeypatch):
+        read = []
+        original = StatementTokens.term
+        monkeypatch.setattr(StatementTokens, "term",
+                            lambda self, token: read.append(token)
+                            or original(self, token))
+        document = "".join(
+            f'<urn:s{i % 3}> <urn:p{i % 2}> "v{i % 4}" .\n'
+            for i in range(60))
+        report = BulkLoader(store, model).load_stream(
+            io.StringIO(document))
+        assert report.staged == 60
+        # Each distinct token once, and each predicate once more for
+        # its link type.
+        assert sorted(read) == sorted(
+            [f"<urn:s{i}>" for i in range(3)]
+            + [f"<urn:p{i}>" for i in range(2)] * 2
+            + [f'"v{i}"' for i in range(4)])
+
+    @pytest.mark.parametrize("bad", [
+        "<urn:s> <urn:p> <urn:o>",
+        "<urn:s> <urn:p> <urn:o> . garbage",
+        "<urn:s <urn:p> <urn:o> .",
+        '<urn:s> <urn:p> "open .',
+        '"lit" <urn:p> <urn:o> .',
+        "<urn:s> _:b <urn:o> .",
+        "<urn:s> <urn:p> .",
+        "bad line .",
+        "broken line",
+        '<urn:s> <urn:p> "x"@ .',
+        '<urn:s> <urn:p> "bad \\q escape" .',
+        "<not a uri> <urn:p> <urn:o> .",
+    ])
+    def test_malformed_line_raises_with_its_line_number(
+            self, store, model, bad):
+        document = f"# header\n<urn:s> <urn:p> <urn:o> .\n{bad}\n"
+        from repro.errors import ParseError
+        from repro.rdf.ntriples import parse_ntriples
+
+        with pytest.raises(ParseError) as expected:
+            list(parse_ntriples(document))
+        with pytest.raises(ParseError) as raised:
+            BulkLoader(store, model).load_stream(io.StringIO(document))
+        assert raised.value.line == expected.value.line == 3
+        assert str(raised.value) == str(expected.value)
+        db = store.database
+        assert [db.row_count(table) for table in (
+            "rdf_link$", STAGE_TABLE, STAGE_VALUE_TABLE)] == [0, 0, 0]
+
+    def test_literal_ending_in_newline_is_not_a_dburi(self, store, model):
+        # A DBUri's text followed by a newline is a literal like any
+        # other: REIF_LINK 'N' on every write path.
+        text = DBUri.for_link(1).text + "\n"
+        line = f'<urn:s> <urn:p:tokens> "{text[:-1]}\\n" .\n'
+        BulkLoader(store, model).load_stream(io.StringIO(line))
+        BulkLoader(store, model).load([Triple(
+            URI("urn:s"), URI("urn:p:terms"), Literal(text))])
+        store.insert_triple_obj(model, Triple(
+            URI("urn:s"), URI("urn:p:rows"), Literal(text)))
+        rows = store.database.query_all(
+            'SELECT v.value_name, l.reif_link FROM "rdf_link$" l '
+            'JOIN "rdf_value$" v ON v.value_id = l.end_node_id')
+        assert [tuple(row) for row in rows] == [(text, "N")] * 3
+        assert check_integrity(store) == []

@@ -37,6 +37,14 @@ class TestParse:
         assert not is_dburi("urn:lsid:uniprot.org:uniprot:P93259")
         assert not is_dburi("gov:files")
 
+    def test_trailing_newline_rejected(self):
+        # The whole text must match: '$' alone also matches before a
+        # final newline.
+        text = "/ORADB/MDSYS/RDF_LINK$/ROW[LINK_ID=1]\n"
+        assert not is_dburi(text)
+        with pytest.raises(DBUriError):
+            DBUri.parse(text)
+
 
 class TestForLink:
     def test_generates_paper_form(self):

@@ -6,10 +6,12 @@ import pytest
 
 from repro.errors import ParseError
 from repro.rdf.ntriples import (
+    StatementTokens,
     parse_ntriples,
     parse_ntriples_line,
     serialize_ntriples,
     term_to_ntriples,
+    term_token,
 )
 from repro.rdf.terms import BlankNode, Literal, URI
 from repro.rdf.triple import Triple
@@ -47,6 +49,14 @@ class TestParseLine:
     def test_unicode_escape(self):
         triple = parse_ntriples_line('<urn:s> <urn:p> "\\u00e9" .')
         assert triple.object == Literal("é")
+
+    def test_escaped_backslash_before_closing_quote(self):
+        triple = parse_ntriples_line('<urn:s> <urn:p> "a\\\\" .')
+        assert triple.object == Literal("a\\")
+
+    def test_quoted_terminator_is_literal_text(self):
+        triple = parse_ntriples_line('<urn:s> <urn:p> "q\\" . # q" .')
+        assert triple.object == Literal('q" . # q')
 
     def test_trailing_comment_allowed(self):
         triple = parse_ntriples_line("<urn:s> <urn:p> <urn:o> . # note")
@@ -134,3 +144,44 @@ class TestSerialize:
             [Triple(URI("urn:s"), URI("urn:p"), URI("urn:o"))], out=out)
         assert result is None
         assert out.getvalue() == "<urn:s> <urn:p> <urn:o> .\n"
+
+
+class TestStatementTokens:
+    def test_tokens_of_each_statement(self):
+        document = ('# comment\n\n<urn:s>\t<urn:p>  "v"@en .  # note\r\n'
+                    '_:b1 <urn:p> _:b2.\n')
+        assert list(StatementTokens(document)) == [
+            ("<urn:s>", "<urn:p>", '"v"@en'),
+            ("_:b1", "<urn:p>", "_:b2"),
+        ]
+
+    def test_line_the_pattern_declines_yields_term_tokens(self):
+        document = "<urn:s><urn:p\\u0041>\"x\"^^<urn:t>.\n"
+        assert list(StatementTokens(document)) == [
+            ("<urn:s>", "<urn:pA>", '"x"^^<urn:t>')]
+
+    def test_term_reads_a_token(self):
+        tokens = StatementTokens("")
+        assert tokens.term('"caf\\u00e9"@FR') == Literal("café",
+                                                         language="fr")
+        assert tokens.term("_:b1") == BlankNode("b1")
+
+    def test_bad_token_raises_its_lines_error(self):
+        document = "<urn:s> <urn:p> <urn:o> .\n<urn:s> <urn:p> <bad uri> .\n"
+        with pytest.raises(ParseError) as expected:
+            list(parse_ntriples(document))
+        tokens = StatementTokens(document)
+        with pytest.raises(ParseError) as raised:
+            for statement in tokens:
+                for token in statement:
+                    tokens.term(token)
+        assert raised.value.line == expected.value.line == 2
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("term", [
+        URI("urn:a\\b"), URI("urn:a>b"), URI("urn:plain"),
+        BlankNode("b1"), Literal('a"b\\c\n'), Literal("x", language="en"),
+        Literal("7", datatype=URI("urn:t")),
+    ])
+    def test_term_token_reads_back(self, term):
+        assert StatementTokens("").term(term_token(term)) == term
